@@ -106,8 +106,11 @@ def _parse_pairs(text: str):
             continue
         if "<" not in chunk:
             raise ValidationError(f"bad pair {chunk!r}; expected like 0<1")
-        a, b = chunk.split("<")
-        pairs.append([int(a), int(b)])
+        try:
+            a, b = (int(v) for v in chunk.split("<"))
+        except ValueError:
+            raise ValidationError(f"bad pair {chunk!r}; expected like 0<1") from None
+        pairs.append([a, b])
     return pairs
 
 
@@ -153,17 +156,37 @@ def system_from_json(data: dict) -> PointedSystem:
     size = data.get("points")
     if size is None:
         raise ValidationError("system needs 'points'")
+    try:
+        size = int(size)
+    except (TypeError, ValueError):
+        raise ValidationError(f"system 'points' must be an integer, got {size!r}") from None
     labels = data.get("labels")
-    pts = PointSet(int(size), tuple(labels) if labels else None)
+    pts = PointSet(size, tuple(labels) if labels else None)
+    raw = data.get("members", [])
+    if not isinstance(raw, list):
+        raise ValidationError("system 'members' must be a list")
     members = []
-    for i, m in enumerate(data.get("members", [])):
-        mask = 0
-        for p in m["set"]:
-            mask |= 1 << int(p)
+    for i, m in enumerate(raw):
+        mask = _member_mask(m, pts.size, i)
         members.append(Member(m.get("label", f"U{i}"), mask))
     return PointedSystem(
         pts, SeparatingFamily(pts, tuple(members)), data.get("base_point")
     )
+
+
+def _member_mask(member, size: int, i: int) -> int:
+    """Mask of one system member, each index checked before it is shifted."""
+    points = member.get("set") if isinstance(member, dict) else None
+    if not isinstance(points, list):
+        raise ValidationError(f"system member {i} needs a 'set' list of point indices")
+    mask = 0
+    for p in points:
+        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < size:
+            raise ValidationError(
+                f"system member {i}: point index {p!r} is not an integer in 0..{size - 1}"
+            )
+        mask |= 1 << p
+    return mask
 
 
 def system_to_json(system: PointedSystem, extra=None) -> dict:
@@ -193,7 +216,12 @@ def _mask_points(mask: int) -> list[int]:
 
 def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def cap_atoms(args) -> int:

@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity by a different route than the main
 implementation: fixpoint closure instead of pattern partitions, full
-subfamily enumeration instead of branch-and-bound, raw subset scans
-instead of structured DFS.
+subfamily enumeration or pair-branching backtracking over budgets
+0, 1, 2, ... instead of the solver's signature-class descent, raw subset
+scans instead of structured DFS.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ def closure_generates(atom_count: int, masks) -> bool:
     return len(closed) == target
 
 
-def subalgebra_closure(atom_count: int, masks) -> frozenset[int]:
-    """The full closure set, for size comparisons against the partition route."""
-    full = (1 << atom_count) - 1
-    closed = {0, full}
-    work = [m for m in set(masks) if m not in closed]
-    closed.update(work)
-    while work:
-        x = work.pop()
-        new = {x & y for y in closed} | {x | y for y in closed}
-        new.add(x ^ full)
-        new -= closed
-        closed |= new
-        work.extend(new)
-    return frozenset(closed)
-
-
 def exhaustive_min_max_order(pool: GeneratorPool, max_points: int = 6,
                              max_pool: int = 12):
     """Minimum max-order over all separating subfamilies, by enumerating
@@ -77,6 +62,66 @@ def exhaustive_min_max_order(pool: GeneratorPool, max_points: int = 6,
         if best is None or value < best:
             best = value
     return best
+
+
+def backtracking_min_max_order(pool: GeneratorPool):
+    """Minimum max-order by pair-branching backtracking, for pools past the
+    exhaustive oracle's caps.
+
+    Decides budgets k = 0, 1, 2, ... from scratch.  Each decision run
+    tracks per-point orders and branches on the unseparated pair with the
+    fewest feasible covering candidates, trying them in pool order.
+    Returns None when no subfamily separates.
+    """
+    n = pool.points.size
+    bits = [c.bits for c in pool.candidates]
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    covers = {
+        (x, y): [i for i, b in enumerate(bits) if (b >> x & 1) != (b >> y & 1)]
+        for (x, y) in pairs
+    }
+    if any(not covers[p] for p in pairs):
+        return None
+    members = [[p for p in range(n) if b >> p & 1] for b in bits]
+
+    def decide(k):
+        orders = [0] * n
+        chosen: list[int] = []
+
+        def separated(x, y):
+            return any((bits[i] >> x & 1) != (bits[i] >> y & 1) for i in chosen)
+
+        def solve():
+            open_pairs = [p for p in pairs if not separated(*p)]
+            if not open_pairs:
+                return True
+            best = None
+            for p in open_pairs:
+                feasible = [
+                    i for i in covers[p]
+                    if i not in chosen and all(orders[q] < k for q in members[i])
+                ]
+                if best is None or len(feasible) < len(best):
+                    best = feasible
+                    if not feasible:
+                        break
+            for i in best:
+                chosen.append(i)
+                for q in members[i]:
+                    orders[q] += 1
+                if solve():
+                    return True
+                for q in members[i]:
+                    orders[q] -= 1
+                chosen.pop()
+            return False
+
+        return solve()
+
+    for k in range(len(bits) + 1):
+        if decide(k):
+            return k
+    raise AssertionError("a separating pool succeeds at k = pool size")
 
 
 def upsets_bruteforce(size: int, up_masks) -> set[int]:

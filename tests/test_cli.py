@@ -284,3 +284,48 @@ def test_formula_parser():
     assert parse_clopen(F, "1").table == F.one.table
     with pytest.raises(Exception):
         parse_clopen(F, "g0 &")
+
+
+class TestMalformedInput:
+    """Malformed input ends with exit 1 and one stderr line, no traceback."""
+
+    def assert_rejected(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("member", [
+        {"label": "A"},
+        {"set": [0, "x"]},
+        {"set": [1.5]},
+        {"set": [-1]},
+        {"set": [3]},
+        {"set": [999999999]},
+    ])
+    def test_bad_system_member(self, tmp_path, capsys, member):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({
+            "kind": "system", "points": 3,
+            "members": [{"label": "U0", "set": [0]}, member],
+        }))
+        self.assert_rejected(capsys, "solve", "--in", str(f))
+
+    @pytest.mark.parametrize("fields", [{"points": "x"}, {"members": 5}])
+    def test_bad_system_shape(self, tmp_path, capsys, fields):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({"kind": "system", "points": 3, "members": [], **fields}))
+        self.assert_rejected(capsys, "solve", "--in", str(f))
+
+    def test_bad_pairs_flag(self, capsys):
+        self.assert_rejected(
+            capsys, "analyze", "--kind", "poset", "--pairs", "0<x",
+            "--analysis", "duality",
+        )
+
+    def test_bad_cap_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("STONELAB_CAP_ATOMS", "abc")
+        code = main(["analyze", "--kind", "algebra", "--n", "3", "--analysis", "freeseq"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "STONELAB_CAP_ATOMS" in err and "Traceback" not in err

@@ -16,7 +16,7 @@ from stonelab import (
     preset_pool,
 )
 from stonelab.families import Member, PointSet, is_t0_separating, order_profile
-from stonelab.oracles import exhaustive_min_max_order
+from stonelab.oracles import backtracking_min_max_order, exhaustive_min_max_order
 
 
 def pool_from_masks(npts, masks, tag="custom"):
@@ -68,6 +68,16 @@ class TestDecision:
         with pytest.raises(PoolInsufficientError) as exc:
             decision_max_order_at_most(pool, 3)
         assert exc.value.witness == (0, 1)
+
+    def test_insufficient_pool_least_pair(self):
+        # classes {0, 3} and {1, 2} stay unsplit; (0, 3) is the least pair
+        pool = pool_from_masks(4, [0b0110])
+        for solve in (lambda: decision_max_order_at_most(pool, 2),
+                      lambda: min_max_order(pool),
+                      lambda: min_max_order(pool, mode="greedy")):
+            with pytest.raises(PoolInsufficientError) as exc:
+                solve()
+            assert exc.value.witness == (0, 3)
 
     def test_negative_budget(self):
         pool = pool_from_masks(2, [0b01])
@@ -188,3 +198,74 @@ class TestPresets:
             preset_pool("tree", FinitePoset.chain(2))
         with pytest.raises(ValidationError):
             preset_pool("intervals", FiniteForest([None]))
+
+
+def assert_certified(pool, res):
+    labels = {c.label for c in pool.candidates}
+    assert {m.label for m in res.family.members} <= labels
+    assert is_t0_separating(res.family).separating
+    assert order_profile(res.family).max_order == res.value
+
+
+def assert_matches_reference(pool):
+    """The descent solver agrees with the pair-branching reference method,
+    on the optimum and on insufficient pools, and certifies its witness."""
+    ref = backtracking_min_max_order(pool)
+    caps = dict(max_points=pool.points.size, max_pool=pool.size)
+    if ref is None:
+        with pytest.raises(PoolInsufficientError):
+            min_max_order(pool, **caps)
+        return
+    res = min_max_order(pool, **caps)
+    assert res.exact and res.value == ref
+    assert_certified(pool, res)
+    greedy = min_max_order(pool, mode="greedy")
+    assert greedy.value >= res.value
+    assert_certified(pool, greedy)
+
+
+class TestReferenceCrossCheck:
+    """Past the exhaustive oracle's 6 x 12 caps, against the reference
+    backtracking method of ``oracles``."""
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_random_pools(self, singletons):
+        rng = random.Random(1104 + singletons)
+        for _ in range(80 if singletons else 240):
+            n = rng.randint(2, 10)
+            extra = rng.randint(0, 24 - n) if singletons else rng.randint(n, 24)
+            masks = [rng.randrange(1 << n) for _ in range(extra)]
+            if singletons:
+                masks += [1 << p for p in range(n)]
+            assert_matches_reference(pool_from_masks(n, masks))
+
+    @pytest.mark.parametrize("kind", ["upsets", "intervals"])
+    def test_chain_presets(self, kind):
+        for n in range(1, 9):
+            structure = FinitePoset.chain(n) if kind == "upsets" else n
+            assert_matches_reference(preset_pool(kind, structure))
+
+    def test_random_forests(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            size = rng.randint(1, 11)
+            parents = [None] + [
+                None if rng.random() < 0.2 else rng.randrange(i) for i in range(1, size)
+            ]
+            assert_matches_reference(preset_pool("tree", FiniteForest(parents)))
+
+    def test_decision_brackets_the_optimum(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            pool = pool_from_masks(
+                n, [rng.randrange(1 << n) for _ in range(rng.randint(n, 20))]
+            )
+            value = backtracking_min_max_order(pool)
+            if value is None:
+                continue
+            hit = decision_max_order_at_most(pool, value)
+            assert hit.achievable
+            assert order_profile(hit.family).max_order <= value
+            assert is_t0_separating(hit.family).separating
+            assert not decision_max_order_at_most(pool, value - 1).achievable
