@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bits import iter_bits, signature_classes, transpose
 from .errors import AlgebraMismatchError, CapExceededError, ValidationError
 
 DEFAULT_ATOM_CAP = 64
@@ -151,9 +152,7 @@ class Element:
         return self.bits.bit_count()
 
     def atoms(self) -> tuple[int, ...]:
-        return tuple(
-            a for a in range(self.algebra.atom_count) if self.bits >> a & 1
-        )
+        return tuple(iter_bits(self.bits))
 
     def __repr__(self):
         return f"Element({{{','.join(map(str, self.atoms()))}}}/{self.algebra.atom_count})"
@@ -231,15 +230,8 @@ def generated_subalgebra(algebra: FiniteBooleanAlgebra, generators) -> Subalgebr
     for g in gens:
         if g.algebra != algebra:
             raise AlgebraMismatchError("algebra mismatch")
-    patterns: dict[int, int] = {}
-    for a in range(algebra.atom_count):
-        sig = 0
-        for idx, g in enumerate(gens):
-            if g.bits >> a & 1:
-                sig |= 1 << idx
-        patterns[sig] = patterns.get(sig, 0) | (1 << a)
-    blocks = sorted(patterns.values(), key=lambda m: m & -m)
-    return SubalgebraPartition(algebra.atom_count, tuple(blocks))
+    patterns = transpose([g.bits for g in gens], algebra.atom_count)
+    return SubalgebraPartition(algebra.atom_count, tuple(signature_classes(patterns)))
 
 
 def generates_whole(algebra: FiniteBooleanAlgebra, generators) -> bool:

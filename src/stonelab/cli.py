@@ -16,7 +16,9 @@ import sys
 
 from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra, generates_whole
+from .bits import iter_bits, set_label
 from .combinators import (
+    DEFAULT_PRODUCT_CAP,
     PointedSystem,
     PorcupineSpec,
     alexandrov_duplication,
@@ -83,19 +85,26 @@ def load_structure(args) -> dict:
         data["generators"] = args.s
     if getattr(args, "pairs", None):
         data["le"] = _parse_pairs(args.pairs)
-        data.setdefault("size", 1 + max(max(p) for p in data["le"]))
+        data.setdefault("size", 1 + max((max(p) for p in data["le"]), default=-1))
     if getattr(args, "size", None) is not None:
         data["size"] = args.size
     if getattr(args, "parents", None):
         data["parents"] = [
-            None if tok in ("-1", "None", "") else int(tok)
+            None if tok in ("-1", "None", "") else _flag_int(tok, "--parents")
             for tok in args.parents.split(",")
         ]
     if getattr(args, "meet", None):
         data["meet"] = [
-            [int(v) for v in row.split(",")] for row in args.meet.split(";")
+            [_flag_int(v, "--meet") for v in row.split(",")] for row in args.meet.split(";")
         ]
     return data
+
+
+def _flag_int(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(f"{flag}: {token!r} is not an integer") from None
 
 
 def _parse_pairs(text: str):
@@ -114,53 +123,85 @@ def _parse_pairs(text: str):
     return pairs
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(data: dict, what: str, *keys: str) -> int:
+    """The first of ``keys`` set in a structure description, as an int."""
+    value = next((data[k] for k in keys if data.get(k) is not None), None)
+    if value is None:
+        raise ValidationError(f"{what} needs '{keys[0]}'")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{what} '{keys[0]}' must be an integer, got {value!r}"
+        ) from None
+
+
 def build_structure(data: dict, atom_cap: int = 64):
+    """The structure a description names.  Field types are checked here, so
+    malformed input ends in a ValidationError, never a stray TypeError."""
     kind = data.get("kind")
     if kind == "algebra":
-        n = data.get("atoms", data.get("n"))
-        if n is None:
-            raise ValidationError("algebra needs 'atoms'")
-        return FiniteBooleanAlgebra(int(n), cap=atom_cap)
+        return FiniteBooleanAlgebra(_integer(data, "algebra", "atoms", "n"), cap=atom_cap)
     if kind == "chain":
-        n = data.get("n")
-        if n is None:
-            raise ValidationError("chain needs 'n'")
-        return int(n)
+        return _integer(data, "chain", "n")
     if kind == "poset":
-        size = data.get("size")
+        size = _integer(data, "poset", "size")
         le = data.get("le", [])
-        if size is None:
-            raise ValidationError("poset needs 'size'")
-        return FinitePoset.from_pairs(int(size), [tuple(p) for p in le])
+        if not isinstance(le, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in le
+        ):
+            raise ValidationError("poset 'le' must be a list of [p, q] integer pairs")
+        return FinitePoset.from_pairs(size, [tuple(p) for p in le])
     if kind == "semilattice":
         table = data.get("meet")
-        if table is None:
-            raise ValidationError("semilattice needs 'meet' table")
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(map(_is_int, row)) for row in table
+        ):
+            raise ValidationError("semilattice needs a 'meet' table: a list of integer rows")
         return MeetSemilattice(table)
     if kind == "tree":
         parents = data.get("parents")
-        if parents is None:
-            raise ValidationError("tree needs 'parents'")
+        if not isinstance(parents, list):
+            raise ValidationError("tree needs a 'parents' list")
         return FiniteForest(parents)
     if kind == "free":
-        s = data.get("generators", data.get("s"))
-        if s is None:
-            raise ValidationError("free algebra needs 'generators'")
-        return FreeAlgebra(int(s))
+        return FreeAlgebra(_integer(data, "free algebra", "generators", "s"))
     if kind == "system":
         return system_from_json(data)
     raise ValidationError(f"unknown structure kind {kind!r}")
 
 
+# A chain (an int n) stands for the n-atom algebra or the n-element chain.
+_CHAIN_AS = {"algebra": FiniteBooleanAlgebra, "poset": FinitePoset.chain}
+# The structure each pool preset wants, where a chain can stand for it.
+_POOL_WANTS = {"free": "algebra", "upsets": "poset"}
+
+
+def _shorthand(structure, wants: str | None = None, pool: str | None = None):
+    """The CLI's shorthands, in one place: the pool alias "all" means
+    "free", and a chain is read as the structure ``wants`` names, by
+    default the one the pool preset wants.  Returns (structure, pool)."""
+    if pool == "all":
+        pool = "free"
+    wants = wants or _POOL_WANTS.get(pool)
+    if isinstance(structure, int) and wants in _CHAIN_AS:
+        structure = _CHAIN_AS[wants](structure)
+    return structure, pool
+
+
 def system_from_json(data: dict) -> PointedSystem:
-    size = data.get("points")
-    if size is None:
-        raise ValidationError("system needs 'points'")
-    try:
-        size = int(size)
-    except (TypeError, ValueError):
-        raise ValidationError(f"system 'points' must be an integer, got {size!r}") from None
+    size = _integer(data, "system", "points")
+    if size > DEFAULT_PRODUCT_CAP:  # checked before any mask of that width exists
+        raise CapExceededError(f"system has {size} points, cap is {DEFAULT_PRODUCT_CAP}")
     labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValidationError("system 'labels' must be a list of strings, one per point")
     pts = PointSet(size, tuple(labels) if labels else None)
     raw = data.get("members", [])
     if not isinstance(raw, list):
@@ -169,9 +210,10 @@ def system_from_json(data: dict) -> PointedSystem:
     for i, m in enumerate(raw):
         mask = _member_mask(m, pts.size, i)
         members.append(Member(m.get("label", f"U{i}"), mask))
-    return PointedSystem(
-        pts, SeparatingFamily(pts, tuple(members)), data.get("base_point")
-    )
+    base = data.get("base_point")
+    if base is not None and not _is_int(base):
+        raise ValidationError(f"system 'base_point' must be an integer point or null, got {base!r}")
+    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), base)
 
 
 def _member_mask(member, size: int, i: int) -> int:
@@ -181,7 +223,7 @@ def _member_mask(member, size: int, i: int) -> int:
         raise ValidationError(f"system member {i} needs a 'set' list of point indices")
     mask = 0
     for p in points:
-        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < size:
+        if not _is_int(p) or not 0 <= p < size:
             raise ValidationError(
                 f"system member {i}: point index {p!r} is not an integer in 0..{size - 1}"
             )
@@ -195,7 +237,7 @@ def system_to_json(system: PointedSystem, extra=None) -> dict:
         "points": system.points.size,
         "labels": [system.points.label(i) for i in range(system.points.size)],
         "members": [
-            {"label": m.label, "set": _mask_points(m.bits)}
+            {"label": m.label, "set": list(iter_bits(m.bits))}
             for m in system.family.members
         ],
         "base_point": system.base_point,
@@ -203,15 +245,6 @@ def system_to_json(system: PointedSystem, extra=None) -> dict:
     if extra:
         data.update(extra)
     return data
-
-
-def _mask_points(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -296,162 +329,161 @@ def _family_payload(family: SeparatingFamily) -> dict:
     }
 
 
+def _selection(args, structure):
+    algebra, kind = _shorthand(structure, "algebra", args.pool)
+    if not isinstance(algebra, FiniteBooleanAlgebra):
+        raise ValidationError("selection analysis needs a chain or an algebra")
+    pool = preset_pool(kind or ("intervals" if isinstance(structure, int) else "free"), structure)
+    elements = [algebra.element(m.bits) for m in pool.candidates]
+    value, witness = selection_value(algebra, elements)
+    family = SeparatingFamily(pool.points, pool.candidates)
+    results = {
+        "selection_value": value,
+        "witness_atom": witness.atom,
+        "generates_whole": generates_whole(algebra, elements),
+        "family": _family_payload(family),
+    }
+    notes = [
+        "selection value = max over atoms of the number of pool members containing it",
+        f"pool preset: {pool.preset_tag}",
+    ]
+    return results, notes
+
+
+def _duality(args, structure):
+    poset, _ = _shorthand(structure, "poset")
+    if not isinstance(poset, FinitePoset):
+        raise ValidationError("duality analysis needs a poset or chain")
+    lattice = final_segments(poset, cap=cap_enum(args))
+    system = poset_system(lattice)
+    primes = prime_clopen_filters(lattice)
+    witnesses = [discrete_witness(poset, p) for p in range(poset.size)]
+    results = {
+        "segment_count": lattice.size,
+        "segments": [lattice.label(i) for i in range(lattice.size)],
+        "family": _family_payload(system.family),
+        "prime_filter_count": len(primes),
+        "prime_filter_minima": [lattice.label(pf.minimum_index) for pf in primes],
+        "bijection_with_poset": len(primes) == poset.size,
+        "discrete_witnesses": {
+            str(w.poset_element): list(w.tau) for w in witnesses
+        },
+        "generator_orientation": generator_orientation(lattice),
+    }
+    notes = [
+        "points are the final segments; generator a_p collects the segments containing p",
+        "each prime filter of the segment lattice is principal at some [p,->)",
+        "tau_p isolates a_p inside the slab {u : p in u, u disjoint from tau_p}",
+    ]
+    return results, notes
+
+
+def _modest(args, structure):
+    if not isinstance(structure, MeetSemilattice):
+        raise ValidationError("modest analysis needs a semilattice")
+    lattice = filters(structure, cap=cap_enum(args))
+    system = semilattice_system(lattice)
+    analysis_report = modest_analysis(lattice)
+    results = {
+        "filter_count": lattice.size,
+        "filters": [lattice.label(i) for i in range(lattice.size)],
+        "family": _family_payload(system.family),
+        "compact_elements": [
+            lattice.label(i) for i in analysis_report.compact_elements
+        ],
+        "immediate_predecessor_counts": list(
+            analysis_report.immediate_predecessor_counts
+        ),
+        "is_modest": analysis_report.is_modest,
+        "max_elements": [lattice.label(i) for i in analysis_report.max_elements],
+        "witness_point": lattice.label(analysis_report.witness_point),
+        "witness_compact_below": analysis_report.witness_compact_below,
+        "witness_family_order": analysis_report.witness_family_order,
+        "sup_definition_agrees": analysis_report.sup_definition_agrees,
+    }
+    notes = [
+        "compact elements: non-minimum filters; cross-checked against the literal sup definition",
+        "witness point: maximal element with the most compact elements below it",
+    ]
+    return results, notes
+
+
+def _sigma(args, structure):
+    if not isinstance(structure, FiniteForest):
+        raise ValidationError("sigma analysis needs a tree")
+    system = sigma_system(structure)
+    chain_alg = (
+        initial_chain_algebra(structure) if structure.size else None
+    )
+    results = {
+        "path_count": system.points.size,
+        "height": structure.height(),
+        "family": _family_payload(system.family),
+        "max_order_equals_height": order_profile(system.family).max_order
+        == structure.height(),
+    }
+    if chain_alg:
+        results["initial_chain_algebra"] = {
+            "blocks": chain_alg.partition.block_count,
+            "generates_whole": chain_alg.generates_whole,
+        }
+    notes = [
+        "paths are the empty chain plus the ancestor-closure of each node",
+        "the order of a path equals its length, so the maximum is the height",
+    ]
+    return results, notes
+
+
+def _freeseq(args, structure):
+    algebra, _ = _shorthand(structure, "algebra")
+    if not isinstance(algebra, FiniteBooleanAlgebra):
+        raise ValidationError("freeseq analysis needs an algebra or chain")
+    best = longest_free_sequence(algebra)
+    results = {
+        "algebra_sequence_length": best.length,
+        "algebra_sequence": [sorted(t.atoms()) for t in best.terms],
+        "point_sequence_length": longest_free_point_sequence(algebra),
+        "asymmetry": longest_free_point_sequence(algebra) - best.length,
+    }
+    notes = [
+        "algebra sequences top out one below the atom count; point sequences reach it",
+    ]
+    return results, notes
+
+
+def _minsupport(args, structure):
+    if not isinstance(structure, FreeAlgebra):
+        raise ValidationError("minsupport analysis needs a free algebra")
+    if not args.clopen:
+        raise ValidationError("minsupport analysis needs --clopen FORMULA")
+    w = parse_clopen(structure, args.clopen)
+    assignment, size = min_support_ultrafilter(w)
+    results = {
+        "formula": args.clopen,
+        "support": list(assignment.support),
+        "support_size": size,
+    }
+    notes = ["smallest-weight satisfying assignment, weight levels tried in order"]
+    return results, notes
+
+
+# analysis name -> function of (args, structure) returning (results, notes)
+ANALYSES = {
+    "selection": _selection,
+    "duality": _duality,
+    "modest": _modest,
+    "sigma": _sigma,
+    "freeseq": _freeseq,
+    "minsupport": _minsupport,
+}
+
+
 def cmd_analyze(args) -> int:
     data = load_structure(args)
     structure = build_structure(data, atom_cap=cap_atoms(args))
-    analysis = args.analysis
-
-    if analysis == "selection":
-        pool_kind = args.pool or None
-        if pool_kind == "all":
-            pool_kind = "free"
-        if isinstance(structure, int):  # chain
-            n = structure
-            algebra = FiniteBooleanAlgebra(n)
-            pool = preset_pool(pool_kind or "intervals", n)
-        elif isinstance(structure, FiniteBooleanAlgebra):
-            algebra = structure
-            pool = preset_pool(pool_kind or "free", algebra)
-        else:
-            raise ValidationError("selection analysis needs a chain or an algebra")
-        elements = [algebra.element(m.bits) for m in pool.candidates]
-        value, witness = selection_value(algebra, elements)
-        family = SeparatingFamily(pool.points, pool.candidates)
-        results = {
-            "selection_value": value,
-            "witness_atom": witness.atom,
-            "generates_whole": generates_whole(algebra, elements),
-            "family": _family_payload(family),
-        }
-        notes = [
-            "selection value = max over atoms of the number of pool members containing it",
-            f"pool preset: {pool.preset_tag}",
-        ]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    if analysis == "duality":
-        if isinstance(structure, int):
-            structure = FinitePoset.chain(structure)
-        if not isinstance(structure, FinitePoset):
-            raise ValidationError("duality analysis needs a poset or chain")
-        lattice = final_segments(structure, cap=cap_enum(args))
-        system = poset_system(lattice)
-        primes = prime_clopen_filters(lattice)
-        witnesses = [discrete_witness(structure, p) for p in range(structure.size)]
-        results = {
-            "segment_count": lattice.size,
-            "segments": [lattice.label(i) for i in range(lattice.size)],
-            "family": _family_payload(system.family),
-            "prime_filter_count": len(primes),
-            "prime_filter_minima": [lattice.label(pf.minimum_index) for pf in primes],
-            "bijection_with_poset": len(primes) == structure.size,
-            "discrete_witnesses": {
-                str(w.poset_element): list(w.tau) for w in witnesses
-            },
-            "generator_orientation": generator_orientation(lattice),
-        }
-        notes = [
-            "points are the final segments; generator a_p collects the segments containing p",
-            "each prime filter of the segment lattice is principal at some [p,->)",
-            "tau_p isolates a_p inside the slab {u : p in u, u disjoint from tau_p}",
-        ]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    if analysis == "modest":
-        if not isinstance(structure, MeetSemilattice):
-            raise ValidationError("modest analysis needs a semilattice")
-        lattice = filters(structure, cap=cap_enum(args))
-        system = semilattice_system(lattice)
-        analysis_report = modest_analysis(lattice)
-        results = {
-            "filter_count": lattice.size,
-            "filters": [lattice.label(i) for i in range(lattice.size)],
-            "family": _family_payload(system.family),
-            "compact_elements": [
-                lattice.label(i) for i in analysis_report.compact_elements
-            ],
-            "immediate_predecessor_counts": list(
-                analysis_report.immediate_predecessor_counts
-            ),
-            "is_modest": analysis_report.is_modest,
-            "max_elements": [lattice.label(i) for i in analysis_report.max_elements],
-            "witness_point": lattice.label(analysis_report.witness_point),
-            "witness_compact_below": analysis_report.witness_compact_below,
-            "witness_family_order": analysis_report.witness_family_order,
-            "sup_definition_agrees": analysis_report.sup_definition_agrees,
-        }
-        notes = [
-            "compact elements: non-minimum filters; cross-checked against the literal sup definition",
-            "witness point: maximal element with the most compact elements below it",
-        ]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    if analysis == "sigma":
-        if not isinstance(structure, FiniteForest):
-            raise ValidationError("sigma analysis needs a tree")
-        system = sigma_system(structure)
-        chain_alg = (
-            initial_chain_algebra(structure) if structure.size else None
-        )
-        results = {
-            "path_count": system.points.size,
-            "height": structure.height(),
-            "family": _family_payload(system.family),
-            "max_order_equals_height": order_profile(system.family).max_order
-            == structure.height(),
-        }
-        if chain_alg:
-            results["initial_chain_algebra"] = {
-                "blocks": chain_alg.partition.block_count,
-                "generates_whole": chain_alg.generates_whole,
-            }
-        notes = [
-            "paths are the empty chain plus the ancestor-closure of each node",
-            "the order of a path equals its length, so the maximum is the height",
-        ]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    if analysis == "freeseq":
-        if isinstance(structure, int):
-            algebra = FiniteBooleanAlgebra(structure)
-        elif isinstance(structure, FiniteBooleanAlgebra):
-            algebra = structure
-        else:
-            raise ValidationError("freeseq analysis needs an algebra or chain")
-        best = longest_free_sequence(algebra)
-        results = {
-            "algebra_sequence_length": best.length,
-            "algebra_sequence": [sorted(t.atoms()) for t in best.terms],
-            "point_sequence_length": longest_free_point_sequence(algebra),
-            "asymmetry": longest_free_point_sequence(algebra) - best.length,
-        }
-        notes = [
-            "algebra sequences top out one below the atom count; point sequences reach it",
-        ]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    if analysis == "minsupport":
-        if not isinstance(structure, FreeAlgebra):
-            raise ValidationError("minsupport analysis needs a free algebra")
-        if not args.clopen:
-            raise ValidationError("minsupport analysis needs --clopen FORMULA")
-        w = parse_clopen(structure, args.clopen)
-        assignment, size = min_support_ultrafilter(w)
-        results = {
-            "formula": args.clopen,
-            "support": list(assignment.support),
-            "support_size": size,
-        }
-        notes = ["smallest-weight satisfying assignment, weight levels tried in order"]
-        emit(args, report(data, analysis, results, notes))
-        return 0
-
-    raise ValidationError(f"unknown analysis {args.analysis!r}")
+    results, notes = ANALYSES[args.analysis](args, structure)
+    emit(args, report(data, args.analysis, results, notes))
+    return 0
 
 
 # ------------------------------------------------------------ clopen formulas
@@ -544,13 +576,7 @@ def parse_clopen(algebra: FreeAlgebra, text: str) -> FreeElement:
 def cmd_solve(args) -> int:
     data = load_structure(args)
     structure = build_structure(data, atom_cap=cap_atoms(args))
-    pool_kind = args.pool or "free"
-    if pool_kind == "all":
-        pool_kind = "free"
-    if isinstance(structure, int) and pool_kind == "upsets":
-        structure = FinitePoset.chain(structure)
-    if isinstance(structure, int) and pool_kind == "free":
-        structure = FiniteBooleanAlgebra(structure)
+    structure, pool_kind = _shorthand(structure, pool=args.pool or "free")
     if isinstance(structure, PointedSystem):
         pool = GeneratorPool(structure.points, structure.family.members, "custom")
     else:
@@ -596,7 +622,7 @@ def cmd_combine(args) -> int:
         if len(systems) != 1:
             raise ValidationError("duplicate needs exactly one system")
         if args.dup_points:
-            dup = [int(t) for t in args.dup_points.split(",") if t != ""]
+            dup = [_flag_int(t, "--dup-points") for t in args.dup_points.split(",") if t != ""]
         else:
             dup = list(range(systems[0].points.size))
         out = alexandrov_duplication(systems[0], dup)
@@ -607,7 +633,7 @@ def cmd_combine(args) -> int:
             index, fibers = systems[0], systems[1:]
             if not args.section:
                 raise ValidationError("porcupine needs --section")
-            section = tuple(int(t) for t in args.section.split(","))
+            section = tuple(_flag_int(t, "--section") for t in args.section.split(","))
             spec = PorcupineSpec(index, tuple(fibers), section)
         else:
             raise ValidationError(
@@ -637,9 +663,7 @@ def cmd_combine(args) -> int:
 
 def cmd_export_dot(args) -> int:
     data = load_structure(args)
-    structure = build_structure(data, atom_cap=cap_atoms(args))
-    if isinstance(structure, int):
-        structure = FinitePoset.chain(structure)
+    structure, _ = _shorthand(build_structure(data, atom_cap=cap_atoms(args)), "poset")
     if isinstance(structure, FinitePoset):
         lattice = final_segments(structure, cap=cap_enum(args))
         text = dotmod.hasse_dot(
@@ -659,7 +683,6 @@ def cmd_export_dot(args) -> int:
             text = dotmod.forest_dot(structure)
         else:
             from .trees import paths as tree_paths
-            from .orders import set_label
 
             space = tree_paths(structure)
             text = dotmod.hasse_dot(
@@ -790,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--analysis",
         required=True,
-        choices=["selection", "duality", "modest", "sigma", "freeseq", "minsupport"],
+        choices=list(ANALYSES),
     )
     p.add_argument("--pool", help="pool preset for selection analysis")
     p.add_argument("--clopen", help="formula for minsupport, e.g. 'g0 & !g1'")

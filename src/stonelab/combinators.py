@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from .bits import iter_bits
 from .errors import CapExceededError, LintWarning, ValidationError
 from .families import Member, PointSet, SeparatingFamily, is_t0_separating
 
@@ -86,22 +87,16 @@ def product_system(s1: PointedSystem, s2: PointedSystem,
     members = []
     for m in s1.family.members:
         mask = 0
-        bits = m.bits
-        while bits:
-            low = bits & -bits
-            mask |= row << ((low.bit_length() - 1) * n2)
-            bits ^= low
+        for x in iter_bits(m.bits):
+            mask |= row << (x * n2)
         members.append(Member(f"lift:L:{m.label}", mask))
     col = 0
     for i in range(n1):
         col |= 1 << (i * n2)
     for m in s2.family.members:
         mask = 0
-        bits = m.bits
-        while bits:
-            low = bits & -bits
-            mask |= col << (low.bit_length() - 1)
-            bits ^= low
+        for y in iter_bits(m.bits):
+            mask |= col << y
         members.append(Member(f"lift:R:{m.label}", mask))
     base = None
     if s1.base_point is not None and s2.base_point is not None:
@@ -272,30 +267,19 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
                     Member(f"porc:V0:x={x}:{m.label}", m.bits << offsets[x])
                 )
                 kinds.append(("V0", x))
+    unions = []  # per index member W: the union of the fibers over W
     for w in X.family.members:
         mask = 0
-        bits = w.bits
-        while bits:
-            low = bits & -bits
-            mask |= fiber_mask[low.bit_length() - 1]
-            bits ^= low
+        for x in iter_bits(w.bits):
+            mask |= fiber_mask[x]
+        unions.append(mask)
         members.append(Member(f"porc:V1:full:W={w.label}", mask))
         kinds.append(("V1full",))
-    for w in X.family.members:
-        bits = w.bits
-        while bits:
-            low = bits & -bits
-            x = low.bit_length() - 1
-            bits ^= low
-            f = spec.fibers[x]
+    for w, union in zip(X.family.members, unions):
+        for x in iter_bits(w.bits):
+            others = union & ~fiber_mask[x]
             sbit = 1 << spec.section[x]
-            others = 0
-            wb = w.bits & ~low
-            while wb:
-                lw = wb & -wb
-                others |= fiber_mask[lw.bit_length() - 1]
-                wb ^= lw
-            for u in f.family.members:
+            for u in spec.fibers[x].family.members:
                 if u.bits & sbit:
                     members.append(
                         Member(

@@ -7,6 +7,7 @@ deterministic text.
 
 from __future__ import annotations
 
+from .bits import iter_bits, upper_covers
 from .families import SeparatingFamily
 
 
@@ -18,31 +19,13 @@ def hasse_dot(labels, subset_masks, name: str = "hasse") -> str:
     """Hasse diagram of a collection of sets ordered by inclusion.
 
     ``subset_masks[i]`` is the underlying set of node i; edges are the
-    covering inclusions, drawn bottom to top.
+    covering inclusions, drawn bottom to top; equal sets get no edge.
     """
-    n = len(subset_masks)
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
-    for i in range(n):
+    for i in range(len(subset_masks)):
         lines.append(f'  n{i} [label="{_escape(labels[i])}"];')
-    for i in range(n):
-        for j in range(n):
-            if i == j or subset_masks[i] & ~subset_masks[j]:
-                continue
-            # i < j; keep only covers
-            cover = True
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                if (
-                    subset_masks[i] & ~subset_masks[k] == 0
-                    and subset_masks[k] & ~subset_masks[j] == 0
-                    and subset_masks[k] != subset_masks[i]
-                    and subset_masks[k] != subset_masks[j]
-                ):
-                    cover = False
-                    break
-            if cover:
-                lines.append(f"  n{i} -> n{j};")
+    for i, above in enumerate(upper_covers(subset_masks)):
+        lines.extend(f"  n{i} -> n{j};" for j in iter_bits(above))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -69,10 +52,6 @@ def bipartite_dot(family: SeparatingFamily, name: str = "membership") -> str:
     for i, m in enumerate(family.members):
         lines.append(f'  m{i} [label="{_escape(m.label)}", shape=box];')
     for i, m in enumerate(family.members):
-        bits = m.bits
-        while bits:
-            low = bits & -bits
-            lines.append(f"  m{i} -- p{low.bit_length() - 1};")
-            bits ^= low
+        lines.extend(f"  m{i} -- p{p};" for p in iter_bits(m.bits))
     lines.append("}")
     return "\n".join(lines) + "\n"

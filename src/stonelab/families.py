@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter, generates_whole
+from .bits import iter_bits, signature_classes, transpose
 from .errors import LintWarning, ValidationError
 
 
@@ -138,31 +140,26 @@ def order_at(family: SeparatingFamily, point: int) -> int:
 
 def point_signatures(family: SeparatingFamily) -> list[int]:
     """Per-point membership pattern, one bit per member."""
-    sigs = [0] * family.points.size
-    for idx, m in enumerate(family.members):
-        bits = m.bits
-        mbit = 1 << idx
-        while bits:
-            low = bits & -bits
-            sigs[low.bit_length() - 1] |= mbit
-            bits ^= low
-    return sigs
+    return transpose(family.member_sets(), family.points.size)
 
 
 def is_t0_separating(family: SeparatingFamily) -> T0Result:
     """Exact pairwise separation check via per-point membership patterns.
 
     Two points are separated by some member iff their patterns differ, so a
-    collision yields a witness pair.  Deterministic: the witness is the
-    first colliding pair in point order.
+    class of equal patterns with two points yields a witness pair.
+    Deterministic: the witness is the first colliding pair in point order,
+    the two least points of the class whose second point is least.
     """
     sigs = point_signatures(family)
-    first: dict[int, int] = {}
-    for p, sig in enumerate(sigs):
-        if sig in first:
-            return T0Result(False, (first[sig], p))
-        first[sig] = p
-    return T0Result(True, None)
+    if len(set(sigs)) == len(sigs):
+        return T0Result(True, None)
+    pairs = [
+        tuple(islice(iter_bits(cls), 2))
+        for cls in signature_classes(sigs)
+        if cls & (cls - 1)
+    ]
+    return T0Result(False, min(pairs, key=lambda pair: pair[1]))
 
 
 def order_profile(family: SeparatingFamily) -> OrderProfile:
@@ -185,14 +182,10 @@ def selection_value(algebra: FiniteBooleanAlgebra, generators: Sequence[Element]
             LintWarning,
             stacklevel=2,
         )
-    best_value = -1
-    best_atom = 0
-    for a in range(algebra.atom_count):
-        count = sum(1 for g in generators if g.bits >> a & 1)
-        if count > best_value:
-            best_value = count
-            best_atom = a
-    return SelectionResult(best_value, Ultrafilter(algebra, best_atom))
+    patterns = transpose([g.bits for g in generators], algebra.atom_count)
+    orders = [sig.bit_count() for sig in patterns]
+    best_value = max(orders)
+    return SelectionResult(best_value, Ultrafilter(algebra, orders.index(best_value)))
 
 
 def point_finiteness_bound(family: SeparatingFamily) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra
+from .bits import is_free
 from .combinators import PointedSystem
 from .errors import CapExceededError, ValidationError
 from .trees import FiniteForest, sigma_system
@@ -42,19 +43,7 @@ def is_free_sequence(algebra: FiniteBooleanAlgebra, terms: Sequence[Element]) ->
     """Freeness via the maximal splits only; equivalent to the all-pairs
     definition (asserted against the naive oracle in tests)."""
     _check_terms(algebra, terms)
-    masks = [t.bits for t in terms]
-    k = len(masks)
-    full = algebra.full_mask
-    suffix = [full] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & (masks[i] ^ full)
-    prefix = full
-    for beta in range(k + 1):
-        if prefix & suffix[beta] == 0:
-            return False
-        if beta < k:
-            prefix &= masks[beta]
-    return True
+    return is_free([t.bits for t in terms], algebra.full_mask)
 
 
 def is_free_sequence_naive(algebra: FiniteBooleanAlgebra, terms: Sequence[Element],
@@ -125,28 +114,13 @@ def longest_free_sequence(algebra: FiniteBooleanAlgebra,
         pool = list(pool)
     _check_terms(algebra, pool)
     candidates = sorted(
-        {e.bits for e in pool}, key=lambda m: (-bin(m).count("1"), m)
+        {e.bits for e in pool}, key=lambda m: (-m.bit_count(), m)
     )
     n = algebra.atom_count
     full = algebra.full_mask
     bound = min(n - 1, len(candidates))
     best: list[int] = []
     current: list[int] = []
-
-    def still_free(masks):
-        k = len(masks)
-        suffix = full
-        suffixes = [full] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix &= masks[i] ^ full
-            suffixes[i] = suffix
-        prefix = full
-        for beta in range(k + 1):
-            if prefix & suffixes[beta] == 0:
-                return False
-            if beta < k:
-                prefix &= masks[beta]
-        return True
 
     def search():
         nonlocal best
@@ -158,7 +132,7 @@ def longest_free_sequence(algebra: FiniteBooleanAlgebra,
             if c in current:
                 continue
             current.append(c)
-            if still_free(current) and search():
+            if is_free(current, full) and search():
                 return True
             current.pop()
         return False
@@ -229,19 +203,6 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
     limit = depth_bound if depth_bound is not None else algebra.atom_count - 1
     nodes: list[tuple[int, ...]] = []
 
-    def free(masks):
-        k = len(masks)
-        suffixes = [full] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffixes[i] = suffixes[i + 1] & (masks[i] ^ full)
-        prefix = full
-        for beta in range(k + 1):
-            if prefix & suffixes[beta] == 0:
-                return False
-            if beta < k:
-                prefix &= masks[beta]
-        return True
-
     def grow(node: tuple[int, ...], masks: list[int]):
         if len(nodes) >= node_cap:
             raise CapExceededError(f"sigma tree exceeds {node_cap} nodes")
@@ -250,7 +211,7 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
             return
         for i, b in enumerate(bits):
             masks.append(b)
-            if free(masks):
+            if is_free(masks, full):
                 grow(node + (i,), masks)
             masks.pop()
 

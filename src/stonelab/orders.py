@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .bits import iter_bits, set_label, supersets, transpose, upper_covers
 from .errors import CapExceededError, OracleMismatchError, ValidationError
 from .families import Member, PointSet, SeparatingFamily
 from .combinators import PointedSystem
@@ -59,11 +60,8 @@ class FinitePoset:
             changed = False
             for i in range(size):
                 m = up[i]
-                bits = m
-                while bits:
-                    low = bits & -bits
-                    m |= up[low.bit_length() - 1]
-                    bits ^= low
+                for j in iter_bits(m):
+                    m |= up[j]
                 if m != up[i]:
                     up[i] = m
                     changed = True
@@ -116,7 +114,7 @@ def _upset_masks(n: int, up, max_count: int) -> list[int]:
     be in.  Deterministic output order; raises when more than ``max_count``
     sets would be produced.
     """
-    order = sorted(range(n), key=lambda i: (bin(up[i]).count("1"), i))
+    order = sorted(range(n), key=lambda i: (up[i].bit_count(), i))
     results: list[int] = []
 
     def extend(pos: int, mask: int):
@@ -135,15 +133,6 @@ def _upset_masks(n: int, up, max_count: int) -> list[int]:
 
     extend(0, 0)
     return results
-
-
-def set_label(mask: int) -> str:
-    elems = []
-    while mask:
-        low = mask & -mask
-        elems.append(str(low.bit_length() - 1))
-        mask ^= low
-    return "{" + ",".join(elems) + "}"
 
 
 @dataclass(frozen=True)
@@ -176,17 +165,13 @@ def final_segments(poset: FinitePoset, cap: int = DEFAULT_POSET_CAP,
             f"|FS(P)| could reach 2^{poset.size}"
         )
     masks = _upset_masks(poset.size, poset.up, max_count)
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
+    masks.sort(key=lambda m: (m.bit_count(), m))
     return FinalSegmentLattice(poset, tuple(masks))
 
 
 def generator_mask(lattice: FinalSegmentLattice, p: int) -> int:
     """a_p over FS(P): the segments containing p, as a point mask."""
-    mask = 0
-    for idx, seg in enumerate(lattice.segments):
-        if seg >> p & 1:
-            mask |= 1 << idx
-    return mask
+    return transpose(lattice.segments, lattice.poset.size)[p]
 
 
 def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
@@ -197,8 +182,8 @@ def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
     """
     pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
     members = tuple(
-        Member(f"a_{p}", generator_mask(lattice, p))
-        for p in range(lattice.poset.size)
+        Member(f"a_{p}", mask)
+        for p, mask in enumerate(transpose(lattice.segments, lattice.poset.size))
     )
     return PointedSystem(pts, SeparatingFamily(pts, members))
 
@@ -210,7 +195,7 @@ def generator_orientation(lattice: FinalSegmentLattice) -> str:
     if neither direction holds globally.
     """
     P = lattice.poset
-    masks = [generator_mask(lattice, p) for p in range(P.size)]
+    masks = transpose(lattice.segments, P.size)
     preserving = all(
         P.leq(p, q) == (masks[p] & ~masks[q] == 0)
         for p in range(P.size)
@@ -250,14 +235,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
     """
     segs = lattice.segments
     m = len(segs)
-    up = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if segs[i] & ~segs[j] == 0:
-                mask |= 1 << j
-        up.append(mask)
-    candidates = _upset_masks(m, up, max_count=1 << 22)
+    candidates = _upset_masks(m, supersets(segs), max_count=1 << 22)
     full = (1 << m) - 1
     union_index = {seg: i for i, seg in enumerate(segs)}
 
@@ -435,21 +413,18 @@ def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP,
     up = [sl.up_mask(i) for i in range(sl.size)]
     upsets = _upset_masks(sl.size, up, max_count)
     out = [m for m in upsets if m == 0 or _is_meet_closed(sl, m)]
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    out.sort(key=lambda m: (m.bit_count(), m))
     return FilterLattice(sl, tuple(out))
 
 
 def semilattice_system(lattice: FilterLattice) -> PointedSystem:
     """Points Fil(M) with the canonical family {a_p : p in M}; T0-separating."""
     pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    members = []
-    for p in range(lattice.semilattice.size):
-        mask = 0
-        for idx, f in enumerate(lattice.filters):
-            if f >> p & 1:
-                mask |= 1 << idx
-        members.append(Member(f"a_{p}", mask))
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)))
+    members = tuple(
+        Member(f"a_{p}", mask)
+        for p, mask in enumerate(transpose(lattice.filters, lattice.semilattice.size))
+    )
+    return PointedSystem(pts, SeparatingFamily(pts, members))
 
 
 def _filter_generated(sl: MeetSemilattice, mask: int) -> int:
@@ -539,24 +514,6 @@ def compact_elements_by_sup(lattice: FilterLattice,
     return tuple(i for i in range(n) if i != minimum and ok[i])
 
 
-def _covers(lattice: FilterLattice, i: int) -> list[int]:
-    fi = lattice.filters[i]
-    below = [
-        j
-        for j in range(lattice.size)
-        if j != i and lattice.filters[j] & ~fi == 0
-    ]
-    out = []
-    for j in below:
-        fj = lattice.filters[j]
-        if not any(
-            k != j and fj & ~lattice.filters[k] == 0 and lattice.filters[k] & ~fi == 0
-            for k in below
-        ):
-            out.append(j)
-    return out
-
-
 def modest_analysis(lattice: FilterLattice) -> ModestReport:
     """Compact elements, immediate-predecessor counts, maximal elements, and
     the witness data for the closed-discrete generator family.
@@ -573,24 +530,13 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
         sup_agrees = by_sup == compact
     except CapExceededError:
         sup_agrees = None  # literal check skipped above the cap
-    pred_counts = tuple(len(_covers(lattice, i)) for i in compact)
+    lower_covers = transpose(upper_covers(lattice.filters), lattice.size)
+    pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
     is_modest = True  # every immediate-predecessor set is finite here; counts reported
-    maxima = tuple(
-        i
-        for i in range(lattice.size)
-        if not any(
-            j != i and lattice.filters[i] & ~lattice.filters[j] == 0
-            for j in range(lattice.size)
-        )
-    )
+    up = supersets(lattice.filters)
+    maxima = tuple(i for i in range(lattice.size) if up[i] == 1 << i)
     members = [Member("G:empty", 0)]
-    for a in compact:
-        fa = lattice.filters[a]
-        mask = 0
-        for idx in range(lattice.size):
-            if fa & ~lattice.filters[idx] == 0:
-                mask |= 1 << idx
-        members.append(Member(f"G:up:{lattice.label(a)}", mask))
+    members += [Member(f"G:up:{lattice.label(a)}", up[a]) for a in compact]
     pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
     family = SeparatingFamily(pts, tuple(members))
 

@@ -20,8 +20,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .algebra import FiniteBooleanAlgebra
+from .bits import iter_bits, set_label, signature_classes, supersets, transpose
 from .errors import CapExceededError, PoolInsufficientError, ValidationError
 from .families import (
     Member,
@@ -37,7 +39,6 @@ from .orders import (
     final_segments,
     filters as semilattice_filters,
     modest_analysis,
-    set_label,
 )
 from .trees import FiniteForest, sigma_system
 
@@ -86,13 +87,6 @@ class SolveResult:
     elapsed: float  # wall seconds; excluded from canonical reports
 
 
-def _points_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Kernel:
     """Bitmask view of a pool, built once per pool.
 
@@ -115,18 +109,14 @@ class _Kernel:
                 seen.add(c.bits)
                 self.index.append(i)
                 self.bits.append(c.bits)
-        contains = [0] * n  # per point: mask of the candidates containing it
-        for j, bits in enumerate(self.bits):
-            for p in _points_of(bits):
-                contains[p] |= 1 << j
-        self.contains = contains
+        # per point: mask of the candidates containing it
+        self.contains = transpose(self.bits, n)
         # The classes of the partition under every candidate, by least
         # point; the first one left unsplit gives the least unseparated pair.
-        classes: dict[int, list[int]] = {}
-        for p in range(n):
-            classes.setdefault(contains[p], []).append(p)
         self.unseparated = next(
-            ((pts[0], pts[1]) for pts in classes.values() if len(pts) > 1), None
+            (tuple(islice(iter_bits(cls), 2))
+             for cls in signature_classes(self.contains) if cls & (cls - 1)),
+            None,
         )
 
     @cached_property
@@ -172,7 +162,7 @@ class _Kernel:
         for cls, o in classes:
             if not cls & (cls - 1):
                 continue
-            pts = list(_points_of(cls))
+            pts = list(iter_bits(cls))
             splitters = 0
             for a, x in enumerate(pts):
                 row = self.cov[x]
@@ -227,7 +217,7 @@ class _Kernel:
             classes, blocked, excluded = self.refine(frame[0], c), frame[1], frame[2]
             for cls, o in classes:
                 if o == k and cls & c:
-                    for p in _points_of(cls):
+                    for p in iter_bits(cls):
                         blocked |= self.contains[p]
 
     def greedy(self) -> list[int]:
@@ -364,14 +354,11 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
         pts = PointSet(
             lattice.size, tuple(lattice.label(i) for i in range(lattice.size))
         )
-        cands = []
-        for i, seg in enumerate(lattice.segments):
-            mask = 0
-            for j, other in enumerate(lattice.segments):
-                if seg & ~other == 0:
-                    mask |= 1 << j
-            cands.append(Member(f"up:{lattice.label(i)}", mask))
-        return GeneratorPool(pts, tuple(cands), "upsets")
+        cands = tuple(
+            Member(f"up:{lattice.label(i)}", mask)
+            for i, mask in enumerate(supersets(lattice.segments))
+        )
+        return GeneratorPool(pts, cands, "upsets")
     if kind == "tree":
         if not isinstance(structure, FiniteForest):
             raise ValidationError("tree pool needs a FiniteForest")

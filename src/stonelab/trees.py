@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, FiniteBooleanAlgebra, SubalgebraPartition, generated_subalgebra
+from .bits import set_label, transpose
 from .combinators import PointedSystem
 from .errors import ValidationError
 from .families import Member, PointSet, SeparatingFamily
-from .orders import set_label
 
 
 class FiniteForest:
@@ -105,14 +105,10 @@ def sigma_system(forest: FiniteForest) -> PointedSystem:
     space = paths(forest)
     labels = tuple(set_label(m) for m in space.paths)
     pts = PointSet(space.size, labels)
-    members = []
-    for t in range(forest.size):
-        mask = 0
-        for idx, pm in enumerate(space.paths):
-            if pm >> t & 1:
-                mask |= 1 << idx
-        members.append(Member(f"V+{t}", mask))
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)))
+    members = tuple(
+        Member(f"V+{t}", mask) for t, mask in enumerate(transpose(space.paths, forest.size))
+    )
+    return PointedSystem(pts, SeparatingFamily(pts, members))
 
 
 @dataclass(frozen=True)

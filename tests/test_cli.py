@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +288,9 @@ def test_formula_parser():
         parse_clopen(F, "g0 &")
 
 
+SYS_FILE = str(Path(__file__).resolve().with_name("golden") / "sys_a.json")
+
+
 class TestMalformedInput:
     """Malformed input ends with exit 1 and one stderr line, no traceback."""
 
@@ -311,7 +316,19 @@ class TestMalformedInput:
         }))
         self.assert_rejected(capsys, "solve", "--in", str(f))
 
-    @pytest.mark.parametrize("fields", [{"points": "x"}, {"members": 5}])
+    @pytest.mark.parametrize("fields", [
+        {"points": "x"},
+        {"members": 5},
+        {"labels": 5},
+        {"base_point": "a"},
+        {"kind": "chain", "n": "x"},
+        {"kind": "algebra", "atoms": "x"},
+        {"kind": "free", "generators": "x"},
+        {"kind": "poset", "size": "x"},
+        {"kind": "poset", "size": 2, "le": [[0]]},
+        {"kind": "semilattice", "meet": 5},
+        {"kind": "tree", "parents": 5},
+    ])
     def test_bad_system_shape(self, tmp_path, capsys, fields):
         f = tmp_path / "sys.json"
         f.write_text(json.dumps({"kind": "system", "points": 3, "members": [], **fields}))
@@ -329,3 +346,29 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 1
         assert "STONELAB_CAP_ATOMS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--kind", "tree", "--parents=x,0", "--analysis", "sigma"],
+        ["analyze", "--kind", "semilattice", "--meet", "a", "--analysis", "modest"],
+        ["analyze", "--kind", "poset", "--pairs", ",", "--analysis", "duality"],
+        ["combine", "--op", "duplicate", "--inputs", SYS_FILE, "--dup-points", "x"],
+        ["combine", "--op", "porcupine", "--inputs", SYS_FILE, SYS_FILE, SYS_FILE,
+         "--section", "x"],
+    ])
+    def test_bad_inline_flag(self, capsys, argv):
+        self.assert_rejected(capsys, *argv)
+
+    def test_points_cap(self, tmp_path, capsys):
+        """A huge point count is refused before any mask of that width is built."""
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({"kind": "system", "points": 10**8, "members": []}))
+        tracemalloc.start()
+        try:
+            code = main(["solve", "--in", str(f), "--mode", "greedy"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "100000000" in err and "4096" in err
+        assert peak < 1 << 20
