@@ -48,8 +48,10 @@ from .freeseq import (
     longest_free_sequence,
 )
 from .orders import (
+    DEFAULT_POSET_CAP,
     FinitePoset,
     MeetSemilattice,
+    check_poset_size,
     discrete_witness,
     filters,
     final_segments,
@@ -140,16 +142,26 @@ def _integer(data: dict, what: str, *keys: str) -> int:
         ) from None
 
 
-def build_structure(data: dict, atom_cap: int = 64):
+def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None):
     """The structure a description names.  Field types are checked here, so
-    malformed input ends in a ValidationError, never a stray TypeError."""
+    malformed input ends in a ValidationError, never a stray TypeError.
+
+    ``poset_cap`` is the final-segment cap of a command that will read the
+    structure as a poset: a poset, or a chain, above it is refused before
+    it is built, since building an n-point poset alone costs O(n^2).
+    """
     kind = data.get("kind")
     if kind == "algebra":
         return FiniteBooleanAlgebra(_integer(data, "algebra", "atoms", "n"), cap=atom_cap)
     if kind == "chain":
-        return _integer(data, "chain", "n")
+        n = _integer(data, "chain", "n")
+        if poset_cap is not None:
+            check_poset_size(n, poset_cap)
+        return n
     if kind == "poset":
         size = _integer(data, "poset", "size")
+        if poset_cap is not None:
+            check_poset_size(size, poset_cap)
         le = data.get("le", [])
         if not isinstance(le, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in le
@@ -269,8 +281,35 @@ def cap_enum(args) -> int:
 
 # ------------------------------------------------------------------- reports
 
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    payloads with string keys.
+
+    The standard encoder drops to pure Python under ``indent``; here a list
+    of plain ints is joined in one call, and every key and other scalar
+    still goes through ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        opening, closing = "{", "}"
+        items = (f"{json.dumps(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        opening, closing = "[", "]"
+        if set(map(type, obj)) == {int}:  # bool, an int subclass, is not joined
+            items = map(str, obj)
+        else:
+            items = (_json(v, inner) for v in obj)
+    else:
+        return json.dumps(obj)
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json(payload) + "\n"
     if getattr(args, "human", False):
         text = human_view(payload)
     out = getattr(args, "out", None)
@@ -480,7 +519,8 @@ ANALYSES = {
 
 def cmd_analyze(args) -> int:
     data = load_structure(args)
-    structure = build_structure(data, atom_cap=cap_atoms(args))
+    poset_cap = cap_enum(args) if args.analysis == "duality" else None
+    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
     results, notes = ANALYSES[args.analysis](args, structure)
     emit(args, report(data, args.analysis, results, notes))
     return 0
@@ -575,7 +615,8 @@ def parse_clopen(algebra: FreeAlgebra, text: str) -> FreeElement:
 
 def cmd_solve(args) -> int:
     data = load_structure(args)
-    structure = build_structure(data, atom_cap=cap_atoms(args))
+    poset_cap = DEFAULT_POSET_CAP if args.pool == "upsets" else None
+    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
     structure, pool_kind = _shorthand(structure, pool=args.pool or "free")
     if isinstance(structure, PointedSystem):
         pool = GeneratorPool(structure.points, structure.family.members, "custom")
@@ -663,7 +704,8 @@ def cmd_combine(args) -> int:
 
 def cmd_export_dot(args) -> int:
     data = load_structure(args)
-    structure, _ = _shorthand(build_structure(data, atom_cap=cap_atoms(args)), "poset")
+    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=cap_enum(args))
+    structure, _ = _shorthand(structure, "poset")
     if isinstance(structure, FinitePoset):
         lattice = final_segments(structure, cap=cap_enum(args))
         text = dotmod.hasse_dot(
@@ -765,13 +807,14 @@ def cmd_selftest(args) -> int:
             break
     check("branch-and-bound solver == exhaustive subfamily oracle", agree)
 
-    # prime filters of segment lattices biject with the poset
+    # prime filters of segment lattices: principal filters vs up-set enumeration
     agree = True
     try:
         for n in range(1, 4):
             for up in oracles.posets_up_to_iso(n):
-                poset = FinitePoset(up)
-                prime_clopen_filters(final_segments(poset))
+                lattice = final_segments(FinitePoset(up))
+                if prime_clopen_filters(lattice) != oracles.prime_filters_by_enumeration(lattice):
+                    agree = False
     except OracleMismatchError:
         agree = False
     check("prime filters of FS(P) biject with P", agree)

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .bits import iter_bits
+from .bits import iter_bits, transpose
 from .errors import CapExceededError, LintWarning, ValidationError
 from .families import Member, PointSet, SeparatingFamily, is_t0_separating
 
@@ -258,15 +258,14 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     pts = PointSet(total, tuple(labels))
 
     members = []
-    kinds = []  # parallel provenance: ("V0", x) | ("V1full",) | ("V1", x)
+    v0_masks, v1_masks = [], []  # kept apart by kind for the decomposition
+    own = [0] * len(spec.fibers)  # per fiber x: the V1 members built around s(x)
     for x, f in enumerate(spec.fibers):
         sbit = 1 << spec.section[x]
         for m in f.family.members:
             if not m.bits & sbit:
-                members.append(
-                    Member(f"porc:V0:x={x}:{m.label}", m.bits << offsets[x])
-                )
-                kinds.append(("V0", x))
+                v0_masks.append(m.bits << offsets[x])
+                members.append(Member(f"porc:V0:x={x}:{m.label}", v0_masks[-1]))
     unions = []  # per index member W: the union of the fibers over W
     for w in X.family.members:
         mask = 0
@@ -274,44 +273,35 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
             mask |= fiber_mask[x]
         unions.append(mask)
         members.append(Member(f"porc:V1:full:W={w.label}", mask))
-        kinds.append(("V1full",))
     for w, union in zip(X.family.members, unions):
         for x in iter_bits(w.bits):
             others = union & ~fiber_mask[x]
             sbit = 1 << spec.section[x]
             for u in spec.fibers[x].family.members:
                 if u.bits & sbit:
+                    own[x] |= 1 << len(v1_masks)
+                    v1_masks.append(others | (u.bits << offsets[x]))
                     members.append(
-                        Member(
-                            f"porc:V1:x={x}:W={w.label}:U={u.label}",
-                            others | (u.bits << offsets[x]),
-                        )
+                        Member(f"porc:V1:x={x}:W={w.label}:U={u.label}", v1_masks[-1])
                     )
-                    kinds.append(("V1", x))
 
     family = SeparatingFamily(pts, tuple(members))
     system = PointedSystem(pts, family)
 
-    # fiber index of each output point
-    owner = []
-    for x, f in enumerate(spec.fibers):
-        owner.extend([x] * f.size)
+    # Column p of a kind's bit matrix holds the members of that kind
+    # containing point p.  The V1 members built around the section point of
+    # p's own fiber count toward v_minus, the other V1 members toward v_star2.
+    v0_cols = transpose(v0_masks, total)
+    full_cols = transpose(unions, total)
+    v1_cols = transpose(v1_masks, total)
     decomposition = []
-    for p in range(total):
-        pbit = 1 << p
-        v0 = vm = vs = vs2 = 0
-        for m, kind in zip(members, kinds):
-            if not m.bits & pbit:
-                continue
-            if kind[0] == "V0":
-                v0 += 1
-            elif kind[0] == "V1full":
-                vs += 1
-            elif kind[1] == owner[p]:
-                vm += 1
-            else:
-                vs2 += 1
-        decomposition.append(PorcupinePointOrders(p, v0, vm, vs, vs2))
+    for x, f in enumerate(spec.fibers):
+        for p in range(offsets[x], offsets[x] + f.size):
+            vm = (v1_cols[p] & own[x]).bit_count()
+            decomposition.append(PorcupinePointOrders(
+                p, v0_cols[p].bit_count(), vm, full_cols[p].bit_count(),
+                v1_cols[p].bit_count() - vm,
+            ))
 
     split = tuple(
         x

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import ValidationError
+from .errors import OracleMismatchError, ValidationError
+from .orders import PrimeFilterInfo
 from .solver import GeneratorPool
 
 
@@ -136,6 +137,44 @@ def upsets_bruteforce(size: int, up_masks) -> set[int]:
         if ok:
             out.add(mask)
     return out
+
+
+def prime_filters_by_enumeration(lattice):
+    """All prime filters of a segment lattice FS(P), by enumerating every
+    up-set of its inclusion order with ``upsets_bruteforce``.
+
+    Keeps the nonempty proper up-sets closed under intersection, tests
+    primality literally (x | y in F implies x in F or y in F), and reads off
+    each filter's minimum, which must be some [p, ->).  Ordered by that p.
+    """
+    segs = lattice.segments
+    m = len(segs)
+    if m > 16:
+        raise ValidationError("prime-filter oracle capped at 16 lattice elements")
+    index = {seg: i for i, seg in enumerate(segs)}
+    up = [sum(1 << j for j in range(m) if segs[i] & ~segs[j] == 0) for i in range(m)]
+    full = (1 << m) - 1
+    primes = []
+    for fmask in upsets_bruteforce(m, up):
+        if fmask == 0 or fmask == full:
+            continue
+        idxs = [i for i in range(m) if fmask >> i & 1]
+        if any(not fmask >> index[segs[i] & segs[j]] & 1 for i in idxs for j in idxs):
+            continue
+        if any(
+            fmask >> index[segs[i] | segs[j]] & 1 and not (fmask >> i & 1 or fmask >> j & 1)
+            for i in range(m)
+            for j in range(m)
+        ):
+            continue
+        minimum = full
+        for i in idxs:
+            minimum &= segs[i]
+        base = [p for p in range(lattice.poset.size) if lattice.poset.up[p] == minimum]
+        if not base:
+            raise OracleMismatchError(f"prime filter minimum {minimum:b} is not some [p,->)")
+        primes.append(PrimeFilterInfo(tuple(idxs), index[minimum], base[0]))
+    return tuple(sorted(primes, key=lambda pf: pf.poset_element))
 
 
 def paths_bruteforce(forest) -> set[int]:

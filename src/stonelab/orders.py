@@ -111,27 +111,27 @@ def _upset_masks(n: int, up, max_count: int) -> list[int]:
 
     Processes points along a linear extension, maximal elements first, so
     putting a point in only needs its already-decided strict successors to
-    be in.  Deterministic output order; raises when more than ``max_count``
-    sets would be produced.
+    be in.  An explicit stack of (position, mask) keeps the depth off the
+    call stack; the branch leaving a point out is taken first.
+    Deterministic output order; raises when more than ``max_count`` sets
+    would be produced.
     """
     order = sorted(range(n), key=lambda i: (up[i].bit_count(), i))
     results: list[int] = []
-
-    def extend(pos: int, mask: int):
+    stack = [(0, 0)]
+    while stack:
+        pos, mask = stack.pop()
         if pos == n:
             if len(results) >= max_count:
                 raise CapExceededError(
                     f"more than {max_count} up-sets; raise the enumeration cap"
                 )
             results.append(mask)
-            return
+            continue
         e = order[pos]
-        extend(pos + 1, mask)  # leave e out
-        strict_up = up[e] & ~(1 << e)
-        if strict_up & ~mask == 0:
-            extend(pos + 1, mask | (1 << e))
-
-    extend(0, 0)
+        if up[e] & ~(mask | 1 << e) == 0:  # every strict successor is in
+            stack.append((pos + 1, mask | 1 << e))
+        stack.append((pos + 1, mask))  # leave e out; popped first
     return results
 
 
@@ -156,14 +156,22 @@ class FinalSegmentLattice:
         return self.segments[i] & ~self.segments[j] == 0
 
 
+def check_poset_size(size: int, cap: int) -> None:
+    """Refuse a poset whose final segments would be enumerated above the cap.
+
+    Callers that know the size before building the poset check it first,
+    since building an n-point poset alone costs O(n^2).
+    """
+    if size > cap:
+        raise CapExceededError(
+            f"poset has {size} points (cap {cap}); |FS(P)| could reach 2^{size}"
+        )
+
+
 def final_segments(poset: FinitePoset, cap: int = DEFAULT_POSET_CAP,
                    max_count: int = DEFAULT_SEGMENT_CAP) -> FinalSegmentLattice:
     """Enumerate FS(P).  |FS(P)| can be exponential, hence the caps."""
-    if poset.size > cap:
-        raise CapExceededError(
-            f"poset has {poset.size} points (cap {cap}); "
-            f"|FS(P)| could reach 2^{poset.size}"
-        )
+    check_poset_size(poset.size, cap)
     masks = _upset_masks(poset.size, poset.up, max_count)
     masks.sort(key=lambda m: (m.bit_count(), m))
     return FinalSegmentLattice(poset, tuple(masks))
@@ -225,58 +233,32 @@ class PrimeFilterInfo:
 
 
 def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo, ...]:
-    """All prime filters of the lattice FS(P), by exhaustive enumeration.
+    """All prime filters of the lattice FS(P), as principal filters at its
+    join-prime elements.
 
-    Enumerates every nonempty proper up-set of the inclusion order, keeps
-    those closed under intersection, and tests primality literally
-    (x | y in F implies x in F or y in F).  Asserts that each prime filter
-    is principal with minimum of the form [p, ->) and that the collection
-    is in bijection with P.
+    In a finite lattice every filter F is principal, F = up(meet F), and
+    up(a) is prime exactly when a is join-prime: a is not below the join
+    of the elements x with a not below x.  Joins in FS(P) are unions, so
+    that join holds point e exactly when some segment outside up(a)
+    contains e.  The bottom is skipped, its up-set being the improper
+    filter.  Asserts that each minimum is of the form [p, ->) and that the
+    collection is in bijection with P.
     """
     segs = lattice.segments
-    m = len(segs)
-    candidates = _upset_masks(m, supersets(segs), max_count=1 << 22)
-    full = (1 << m) - 1
-    union_index = {seg: i for i, seg in enumerate(segs)}
-
+    holders = transpose(segs, lattice.poset.size)  # holders[e]: segments holding e
+    base_of = {mask: p for p, mask in enumerate(lattice.poset.up)}
     primes = []
-    for fmask in candidates:
-        if fmask == 0 or fmask == full:
+    for a, fmask in enumerate(supersets(segs)):
+        if not segs[a]:
             continue
-        idxs = [i for i in range(m) if fmask >> i & 1]
-        if any(
-            not fmask >> union_index[segs[i] & segs[j]] & 1
-            for i in idxs
-            for j in idxs
-        ):
-            continue
-        prime = True
-        for i in range(m):
-            for j in range(m):
-                ui = union_index[segs[i] | segs[j]]
-                if fmask >> ui & 1 and not (fmask >> i & 1 or fmask >> j & 1):
-                    prime = False
-                    break
-            if not prime:
-                break
-        if not prime:
-            continue
-        acc = segs[idxs[0]]
-        for i in idxs[1:]:
-            acc &= segs[i]
-        if acc not in union_index or not fmask >> union_index[acc] & 1:
-            raise OracleMismatchError("prime filter without a minimum")
-        min_idx = union_index[acc]
-        base = None
-        for p in range(lattice.poset.size):
-            if lattice.poset.up[p] == acc:
-                base = p
-                break
+        if not any(holders[e] & ~fmask == 0 for e in iter_bits(segs[a])):
+            continue  # a lies below the join of the segments outside up(a)
+        base = base_of.get(segs[a])
         if base is None:
             raise OracleMismatchError(
-                f"prime filter minimum {set_label(acc)} is not of the form [p,->)"
+                f"prime filter minimum {set_label(segs[a])} is not of the form [p,->)"
             )
-        primes.append(PrimeFilterInfo(tuple(idxs), min_idx, base))
+        primes.append(PrimeFilterInfo(tuple(iter_bits(fmask)), a, base))
 
     bases = sorted(pf.poset_element for pf in primes)
     if bases != list(range(lattice.poset.size)):
@@ -486,6 +468,8 @@ def compact_elements_by_sup(lattice: FilterLattice,
     For each subset S the witnessing subfamily is searched in order of
     increasing cardinality (F = S always terminates the search, every set
     here being finite).  Quadratic-exponential, hence the low cap.
+    The supremum is memoized on the union of the subfamily's filters,
+    which by definition determines the filter it generates.
     """
     if lattice.size > exhaustive_cap:
         raise CapExceededError(
@@ -495,16 +479,26 @@ def compact_elements_by_sup(lattice: FilterLattice,
 
     n = lattice.size
     minimum = lattice.minimum_index()
+    sups: dict[int, int] = {}
+
+    def sup(idxs) -> int:
+        union = 0
+        for i in idxs:
+            union |= lattice.filters[i]
+        if union not in sups:
+            sups[union] = lattice_sup(lattice, idxs)
+        return sups[union]
+
     ok = [True] * n
     for smask in range(1 << n):
-        idxs = [i for i in range(n) if smask >> i & 1]
-        a = lattice_sup(lattice, idxs)
+        idxs = list(iter_bits(smask))
+        a = sup(idxs)
         if a == minimum:
             continue
         witnessed = False
         for size in range(len(idxs) + 1):
             for sub in combinations(idxs, size):
-                if lattice_sup(lattice, sub) == a:
+                if sup(sub) == a:
                     witnessed = True
                     break
             if witnessed:
@@ -514,15 +508,26 @@ def compact_elements_by_sup(lattice: FilterLattice,
     return tuple(i for i in range(n) if i != minimum and ok[i])
 
 
+def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:
+    """The family G over Fil(M): the empty filter of the lattice plus the
+    principal up-set of each compact element (the improper filter, the
+    whole lattice, is excluded)."""
+    up = supersets(lattice.filters)
+    members = [Member("G:empty", 0)]
+    members += [
+        Member(f"G:up:{lattice.label(a)}", up[a]) for a in compact_elements_clopen(lattice)
+    ]
+    pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
+    return SeparatingFamily(pts, tuple(members))
+
+
 def modest_analysis(lattice: FilterLattice) -> ModestReport:
     """Compact elements, immediate-predecessor counts, maximal elements, and
     the witness data for the closed-discrete generator family.
 
-    The family G consists of the empty filter of the lattice plus the
-    principal up-set of each compact element (the improper filter, the
-    whole lattice, is excluded).  The witness point is a maximal element p
-    maximizing the number of compact elements below it; the order of p in
-    G equals that count.
+    The family G is ``clopen_filter_family``.  The witness point is a
+    maximal element p maximizing the number of compact elements below it;
+    the order of p in G equals that count.
     """
     compact = compact_elements_clopen(lattice)
     try:
@@ -530,15 +535,12 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
         sup_agrees = by_sup == compact
     except CapExceededError:
         sup_agrees = None  # literal check skipped above the cap
-    lower_covers = transpose(upper_covers(lattice.filters), lattice.size)
+    covers = upper_covers(lattice.filters)
+    lower_covers = transpose(covers, lattice.size)
     pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
     is_modest = True  # every immediate-predecessor set is finite here; counts reported
-    up = supersets(lattice.filters)
-    maxima = tuple(i for i in range(lattice.size) if up[i] == 1 << i)
-    members = [Member("G:empty", 0)]
-    members += [Member(f"G:up:{lattice.label(a)}", up[a]) for a in compact]
-    pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    family = SeparatingFamily(pts, tuple(members))
+    maxima = tuple(i for i in range(lattice.size) if not covers[i])
+    family = clopen_filter_family(lattice)
 
     best_point = maxima[0]
     best_count = -1
@@ -549,7 +551,7 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
             best_count = count
             best_point = p
     pbit = 1 << best_point
-    family_order = sum(1 for m in members if m.bits & pbit)
+    family_order = sum(1 for m in family.members if m.bits & pbit)
     return ModestReport(
         compact_elements=compact,
         immediate_predecessor_counts=pred_counts,

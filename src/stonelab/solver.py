@@ -36,9 +36,9 @@ from .orders import (
     FinalSegmentLattice,
     FinitePoset,
     MeetSemilattice,
+    clopen_filter_family,
     final_segments,
     filters as semilattice_filters,
-    modest_analysis,
 )
 from .trees import FiniteForest, sigma_system
 
@@ -371,7 +371,6 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
             lattice = structure
         else:
             raise ValidationError("filters pool needs a MeetSemilattice")
-        report = modest_analysis(lattice)
-        fam = report.clopen_filter_family
+        fam = clopen_filter_family(lattice)
         return GeneratorPool(fam.points, fam.members, "filters")
     raise ValidationError(f"unknown pool preset {kind!r}")

@@ -1,10 +1,12 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stonelab.cli import main, parse_clopen
+from stonelab.cli import _json, main, parse_clopen
 from stonelab.freealg import FreeAlgebra
 
 
@@ -372,3 +374,67 @@ class TestMalformedInput:
         assert code == 2
         assert err.count("\n") == 1 and "100000000" in err and "4096" in err
         assert peak < 1 << 20
+
+
+class TestLargeInputs:
+    """Sizes past the old recursion depth and the O(n^2) poset build."""
+
+    def test_long_chain_duality(self, capsys):
+        code, rep = run_json(
+            capsys, "analyze", "--kind", "chain", "--n", "1200", "--analysis", "duality",
+            "--cap-enum", "1200",
+        )
+        assert code == 0
+        assert rep["results"]["segment_count"] == 1201
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_antichain_duality(self, capsys, n):
+        start = time.perf_counter()
+        code, rep = run_json(
+            capsys, "analyze", "--kind", "poset", "--size", str(n), "--analysis", "duality",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert rep["results"]["segment_count"] == 2 ** n
+        assert rep["results"]["prime_filter_count"] == n
+        if n == 6:
+            assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--analysis", "duality"],
+        ["solve", "--pool", "upsets"],
+        ["export-dot"],
+    ])
+    @pytest.mark.parametrize("structure", [
+        {"kind": "poset", "size": 100000},
+        {"kind": "chain", "n": 100000},
+    ])
+    def test_huge_poset_capped_before_build(self, tmp_path, capsys, command, structure):
+        f = tmp_path / "poset.json"
+        f.write_text(json.dumps(structure))
+        start = time.perf_counter()
+        code = main([*command, "--in", str(f)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "cap exceeded: poset has 100000 points (cap 20); " \
+            "|FS(P)| could reach 2^100000\n"
+        assert elapsed < 1.0
+
+
+json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                | st.floats() | st.text(max_size=6))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(-10**6, 10**6), max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.dictionaries(st.text(max_size=4), json_values, max_size=5))
+@example({"": [], "é": {}, "b": [True, False, None, 1.5, "ü\n", [1, -2], [True, 1], {}]})
+def test_report_encoder_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)

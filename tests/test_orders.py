@@ -19,7 +19,7 @@ from stonelab import (
     semilattice_system,
 )
 from stonelab.families import is_t0_separating
-from stonelab.oracles import posets_up_to_iso, upsets_bruteforce
+from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
 from stonelab.orders import compact_elements_by_sup, compact_elements_clopen, generator_mask
 
 
@@ -152,6 +152,36 @@ class TestPrimeFilters:
                 L = final_segments(P)
                 for pf in prime_clopen_filters(L):
                     assert L.segments[pf.minimum_index] == P.up[pf.poset_element]
+
+    def test_equals_enumeration_oracle(self):
+        """Principal filters at join-prime elements = every prime filter
+        found among all up-sets of FS(P)."""
+        for n in range(1, 5):
+            for up in posets_up_to_iso(n):
+                L = final_segments(FinitePoset(up))
+                assert prime_clopen_filters(L) == prime_filters_by_enumeration(L)
+
+    def test_literal_primality_random(self):
+        """The proper principal filters passing x | y in F => x in F or
+        y in F are exactly the ones returned (every filter of a finite
+        lattice is principal)."""
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            label = rng.sample(range(n), n)
+            pairs = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.3]
+            L = final_segments(FinitePoset.from_pairs(n, pairs))
+            segs = L.segments
+            index = {seg: i for i, seg in enumerate(segs)}
+            expected = []
+            for a in range(1, L.size):  # segs[0] is the bottom; its up-set is improper
+                inside = {i for i, seg in enumerate(segs) if segs[a] & ~seg == 0}
+                outside = [i for i in range(L.size) if i not in inside]
+                if all(index[segs[x] | segs[y]] not in inside for x in outside for y in outside):
+                    expected.append(tuple(sorted(inside)))
+            got = prime_clopen_filters(L)
+            assert sorted(pf.filter_indices for pf in got) == sorted(expected)
 
 
 class TestDiscreteWitness:
