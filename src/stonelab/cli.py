@@ -370,8 +370,6 @@ def _family_payload(family: SeparatingFamily) -> dict:
 
 def _selection(args, structure):
     algebra, kind = _shorthand(structure, "algebra", args.pool)
-    if not isinstance(algebra, FiniteBooleanAlgebra):
-        raise ValidationError("selection analysis needs a chain or an algebra")
     pool = preset_pool(kind or ("intervals" if isinstance(structure, int) else "free"), structure)
     elements = [algebra.element(m.bits) for m in pool.candidates]
     value, witness = selection_value(algebra, elements)
@@ -391,8 +389,6 @@ def _selection(args, structure):
 
 def _duality(args, structure):
     poset, _ = _shorthand(structure, "poset")
-    if not isinstance(poset, FinitePoset):
-        raise ValidationError("duality analysis needs a poset or chain")
     lattice = final_segments(poset, cap=cap_enum(args))
     system = poset_system(lattice)
     primes = prime_clopen_filters(lattice)
@@ -418,8 +414,6 @@ def _duality(args, structure):
 
 
 def _modest(args, structure):
-    if not isinstance(structure, MeetSemilattice):
-        raise ValidationError("modest analysis needs a semilattice")
     lattice = filters(structure, cap=cap_enum(args))
     system = semilattice_system(lattice)
     analysis_report = modest_analysis(lattice)
@@ -448,8 +442,6 @@ def _modest(args, structure):
 
 
 def _sigma(args, structure):
-    if not isinstance(structure, FiniteForest):
-        raise ValidationError("sigma analysis needs a tree")
     system = sigma_system(structure)
     chain_alg = (
         initial_chain_algebra(structure) if structure.size else None
@@ -475,8 +467,6 @@ def _sigma(args, structure):
 
 def _freeseq(args, structure):
     algebra, _ = _shorthand(structure, "algebra")
-    if not isinstance(algebra, FiniteBooleanAlgebra):
-        raise ValidationError("freeseq analysis needs an algebra or chain")
     best = longest_free_sequence(algebra)
     results = {
         "algebra_sequence_length": best.length,
@@ -491,8 +481,6 @@ def _freeseq(args, structure):
 
 
 def _minsupport(args, structure):
-    if not isinstance(structure, FreeAlgebra):
-        raise ValidationError("minsupport analysis needs a free algebra")
     if not args.clopen:
         raise ValidationError("minsupport analysis needs --clopen FORMULA")
     w = parse_clopen(structure, args.clopen)
@@ -506,22 +494,26 @@ def _minsupport(args, structure):
     return results, notes
 
 
-# analysis name -> function of (args, structure) returning (results, notes)
+# analysis name -> (function of (args, structure) returning (results, notes),
+#                   the structure kinds it takes, what its refusal names)
 ANALYSES = {
-    "selection": _selection,
-    "duality": _duality,
-    "modest": _modest,
-    "sigma": _sigma,
-    "freeseq": _freeseq,
-    "minsupport": _minsupport,
+    "selection": (_selection, ("chain", "algebra"), "a chain or an algebra"),
+    "duality": (_duality, ("poset", "chain"), "a poset or chain"),
+    "modest": (_modest, ("semilattice",), "a semilattice"),
+    "sigma": (_sigma, ("tree",), "a tree"),
+    "freeseq": (_freeseq, ("algebra", "chain"), "an algebra or chain"),
+    "minsupport": (_minsupport, ("free",), "a free algebra"),
 }
 
 
 def cmd_analyze(args) -> int:
     data = load_structure(args)
+    run, kinds, wants = ANALYSES[args.analysis]
+    if data["kind"] not in kinds:  # refused before it is built
+        raise ValidationError(f"{args.analysis} analysis needs {wants}")
     poset_cap = cap_enum(args) if args.analysis == "duality" else None
     structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
-    results, notes = ANALYSES[args.analysis](args, structure)
+    results, notes = run(args, structure)
     emit(args, report(data, args.analysis, results, notes))
     return 0
 
@@ -615,8 +607,11 @@ def parse_clopen(algebra: FreeAlgebra, text: str) -> FreeElement:
 
 def cmd_solve(args) -> int:
     data = load_structure(args)
-    poset_cap = DEFAULT_POSET_CAP if args.pool == "upsets" else None
-    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
+    if data["kind"] == "poset" and args.pool != "upsets":
+        structure = None  # only the upsets preset takes a poset; the others refuse it unbuilt
+    else:
+        poset_cap = DEFAULT_POSET_CAP if args.pool == "upsets" else None
+        structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
     structure, pool_kind = _shorthand(structure, pool=args.pool or "free")
     if isinstance(structure, PointedSystem):
         pool = GeneratorPool(structure.points, structure.family.members, "custom")
@@ -832,7 +827,7 @@ def _add_structure_flags(p: argparse.ArgumentParser):
     p.add_argument("--s", type=int, help="free-algebra generator count")
     p.add_argument("--size", type=int, help="poset size")
     p.add_argument("--pairs", help="poset relations, e.g. '0<1,1<2'")
-    p.add_argument("--parents", help="tree parent array, e.g. '-1,0,0'")
+    p.add_argument("--parents", help="tree parent array, e.g. --parents=-1,0,0")
     p.add_argument("--meet", help="semilattice meet table, rows ; separated")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--human", action="store_true", help="table view instead of JSON")
@@ -843,8 +838,16 @@ def _add_structure_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="seed for randomized demos (env STONELAB_SEED)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as one-line ValidationErrors, exit 1, instead of
+    argparse's usage block and exit 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stonelab",
         description="Finite Boolean algebras, separating families, and the "
         "min-max-order optimization.",
@@ -895,8 +898,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit 2 for usage errors
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1

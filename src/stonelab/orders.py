@@ -10,7 +10,7 @@ compact elements and immediate predecessors in filter lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 from .bits import iter_bits, set_label, supersets, transpose, upper_covers
 from .errors import CapExceededError, OracleMismatchError, ValidationError
@@ -22,9 +22,10 @@ DEFAULT_SEGMENT_CAP = 1 << 20
 
 
 class FinitePoset:
-    """Partial order on {0, ..., n-1}; ``up[i]`` is the mask of {j : i <= j}."""
+    """Partial order on {0, ..., n-1} as a bit matrix: ``up[i]`` is the mask
+    of {j : i <= j} and ``down``, its transpose, the mask of {j : j <= i}."""
 
-    __slots__ = ("size", "up")
+    __slots__ = ("size", "up", "down")
 
     def __init__(self, up_masks):
         up = tuple(up_masks)
@@ -37,34 +38,49 @@ class FinitePoset:
                 raise ValidationError("relation mask out of range")
             if not m >> i & 1:
                 raise ValidationError(f"relation not reflexive at {i}")
-        for i in range(n):
-            for j in range(n):
-                if up[i] >> j & 1:
-                    if i != j and up[j] >> i & 1:
-                        raise ValidationError(f"relation not antisymmetric at ({i},{j})")
-                    if up[j] & ~up[i]:
-                        raise ValidationError(f"relation not transitive at ({i},{j})")
+        down = tuple(transpose(up, n))
+        for i, m in enumerate(up):
+            both = m & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise ValidationError(f"relation not antisymmetric at ({i},{j})")
+            for j in iter_bits(m):  # i <= j <= k must give i <= k
+                if up[j] & ~m:
+                    raise ValidationError(f"relation not transitive at ({i},{j})")
         self.size = n
         self.up = up
+        self.down = down
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "FinitePoset":
-        """Reflexive-transitive closure of the given p <= q pairs."""
-        up = [1 << i for i in range(size)]
+        """Reflexive-transitive closure of the given p <= q pairs.
+
+        Rows are closed in reverse topological order of the pair graph, so
+        each row is its own bit or'ed with the finished rows of its direct
+        successors.
+        """
+        succ = [0] * size
         for p, q in pairs:
             if not (0 <= p < size and 0 <= q < size):
                 raise ValidationError(f"pair ({p},{q}) out of range")
-            up[p] |= 1 << q
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                m = up[i]
-                for j in iter_bits(m):
-                    m |= up[j]
-                if m != up[i]:
-                    up[i] = m
-                    changed = True
+            if p != q:
+                succ[p] |= 1 << q
+        preds = transpose(succ, size)
+        waiting = [s.bit_count() for s in succ]  # successors not yet closed
+        up = [0] * size
+        ready = [i for i in range(size) if not succ[i]]
+        while ready:
+            i = ready.pop()
+            row = 1 << i
+            for j in iter_bits(succ[i]):
+                row |= up[j]
+            up[i] = row
+            for k in iter_bits(preds[i]):
+                waiting[k] -= 1
+                if not waiting[k]:
+                    ready.append(k)
+        if not all(up):
+            raise ValidationError("pairs contain a cycle, so they define no partial order")
         return cls(up)
 
     @classmethod
@@ -79,30 +95,15 @@ class FinitePoset:
         return bool(self.up[i] >> j & 1)
 
     def strict_down(self, p: int) -> int:
-        mask = 0
-        for q in range(self.size):
-            if q != p and self.leq(q, p):
-                mask |= 1 << q
-        return mask
+        return self.down[p] & ~(1 << p)
 
     def immediate_predecessors(self, p: int) -> tuple[int, ...]:
         """Maximal elements of the strict down-set of p (lower covers)."""
         below = self.strict_down(p)
-        preds = []
-        for q in range(self.size):
-            if below >> q & 1:
-                dominated = self.up[q] & below & ~(1 << q)
-                if not dominated:
-                    preds.append(q)
-        return tuple(preds)
+        return tuple(q for q in iter_bits(below) if self.up[q] & below == 1 << q)
 
     def __repr__(self):
-        pairs = [
-            (i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j and self.leq(i, j)
-        ]
+        pairs = [(i, j) for i, m in enumerate(self.up) for j in iter_bits(m & ~(1 << i))]
         return f"FinitePoset(n={self.size}, le={pairs})"
 
 
@@ -155,6 +156,12 @@ class FinalSegmentLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.segments[i] & ~self.segments[j] == 0
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """a_p for each point p of the poset: the mask of the segments
+        containing p, the p-th column of the segment matrix."""
+        return tuple(transpose(self.segments, self.poset.size))
+
 
 def check_poset_size(size: int, cap: int) -> None:
     """Refuse a poset whose final segments would be enumerated above the cap.
@@ -179,7 +186,7 @@ def final_segments(poset: FinitePoset, cap: int = DEFAULT_POSET_CAP,
 
 def generator_mask(lattice: FinalSegmentLattice, p: int) -> int:
     """a_p over FS(P): the segments containing p, as a point mask."""
-    return transpose(lattice.segments, lattice.poset.size)[p]
+    return lattice.generators[p]
 
 
 def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
@@ -189,10 +196,7 @@ def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
     and p <= q in P holds exactly when a_p is a subset of a_q.
     """
     pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    members = tuple(
-        Member(f"a_{p}", mask)
-        for p, mask in enumerate(transpose(lattice.segments, lattice.poset.size))
-    )
+    members = tuple(Member(f"a_{p}", mask) for p, mask in enumerate(lattice.generators))
     return PointedSystem(pts, SeparatingFamily(pts, members))
 
 
@@ -202,18 +206,9 @@ def generator_orientation(lattice: FinalSegmentLattice) -> str:
     Returns "preserving" (p <= q iff a_p subset a_q) or "reversing"; raises
     if neither direction holds globally.
     """
-    P = lattice.poset
-    masks = transpose(lattice.segments, P.size)
-    preserving = all(
-        P.leq(p, q) == (masks[p] & ~masks[q] == 0)
-        for p in range(P.size)
-        for q in range(P.size)
-    )
-    reversing = all(
-        P.leq(p, q) == (masks[q] & ~masks[p] == 0)
-        for p in range(P.size)
-        for q in range(P.size)
-    )
+    contained_in = tuple(supersets(lattice.generators))  # q with a_p subset a_q
+    preserving = contained_in == lattice.poset.up
+    reversing = contained_in == lattice.poset.down
     if preserving and not reversing:
         return "preserving"
     if reversing and not preserving:
@@ -245,7 +240,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
     collection is in bijection with P.
     """
     segs = lattice.segments
-    holders = transpose(segs, lattice.poset.size)  # holders[e]: segments holding e
+    holders = lattice.generators  # holders[e]: segments holding e
     base_of = {mask: p for p, mask in enumerate(lattice.poset.up)}
     primes = []
     for a, fmask in enumerate(supersets(segs)):
@@ -282,29 +277,31 @@ class DiscreteWitness:
 def discrete_witness(poset: FinitePoset, p: int) -> DiscreteWitness:
     """Witness that the canonical generators form a discrete set.
 
-    tau_p is the set of immediate predecessors of p; uniqueness is verified
-    by enumeration over all q.
+    tau_p is the set of immediate predecessors of p.  Uniqueness is
+    verified on the rows: the q <= p below no element of tau_p must be p
+    alone.
     """
     if not 0 <= p < poset.size:
         raise ValidationError(f"poset element {p} out of range")
     tau = poset.immediate_predecessors(p)
-    tau_mask = 0
+    shadow = 0
     for t in tau:
-        tau_mask |= 1 << t
-    hits = [
-        q
-        for q in range(poset.size)
-        if poset.up[q] >> p & 1 and poset.up[q] & tau_mask == 0
-    ]
-    if hits != [p]:
-        raise OracleMismatchError(f"tau_{p} does not isolate a_{p}: hits {hits}")
+        shadow |= poset.down[t]
+    hits = poset.down[p] & ~shadow
+    if hits != 1 << p:
+        raise OracleMismatchError(
+            f"tau_{p} does not isolate a_{p}: hits {list(iter_bits(hits))}"
+        )
     return DiscreteWitness(p, tau)
 
 
 class MeetSemilattice:
-    """Meet table on {0, ..., n-1}; validated idempotent, commutative, associative."""
+    """Meet table on {0, ..., n-1}; validated idempotent, commutative, associative.
 
-    __slots__ = ("size", "table")
+    ``up[i]`` is the mask of {j : i <= j}, read off row i of the table.
+    """
+
+    __slots__ = ("size", "table", "up")
 
     def __init__(self, table):
         rows = [tuple(r) for r in table]
@@ -332,6 +329,12 @@ class MeetSemilattice:
                         )
         self.size = n
         self.table = tuple(rows)
+        up = [0] * n
+        for i, r in enumerate(rows):
+            for j, m in enumerate(r):
+                if m == i:
+                    up[i] |= 1 << j
+        self.up = tuple(up)
 
     @classmethod
     def chain(cls, n: int) -> "MeetSemilattice":
@@ -352,11 +355,7 @@ class MeetSemilattice:
         return self.table[i][j] == i
 
     def up_mask(self, i: int) -> int:
-        mask = 0
-        for j in range(self.size):
-            if self.leq(i, j):
-                mask |= 1 << j
-        return mask
+        return self.up[i]
 
 
 @dataclass(frozen=True)
@@ -380,21 +379,18 @@ class FilterLattice:
         return self.filters.index(0)
 
 
-def _is_meet_closed(sl: MeetSemilattice, mask: int) -> bool:
-    elems = [i for i in range(sl.size) if mask >> i & 1]
-    return all(mask >> sl.meet(i, j) & 1 for i in elems for j in elems)
+def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP) -> FilterLattice:
+    """Fil(M): the empty set plus every meet-closed up-set.
 
-
-def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP,
-            max_count: int = DEFAULT_SEGMENT_CAP) -> FilterLattice:
-    """Enumerate Fil(M): the empty set plus every meet-closed up-set."""
+    A nonempty filter F of a finite meet-semilattice holds the meet a of
+    its elements, so F = up(a); each up(a) is a filter.  Fil(M) is thus the
+    empty filter plus the principal filters, one per element.
+    """
     if sl.size > cap:
         raise CapExceededError(
             f"semilattice has {sl.size} points (cap {cap})"
         )
-    up = [sl.up_mask(i) for i in range(sl.size)]
-    upsets = _upset_masks(sl.size, up, max_count)
-    out = [m for m in upsets if m == 0 or _is_meet_closed(sl, m)]
+    out = [0, *sl.up]
     out.sort(key=lambda m: (m.bit_count(), m))
     return FilterLattice(sl, tuple(out))
 
@@ -409,34 +405,6 @@ def semilattice_system(lattice: FilterLattice) -> PointedSystem:
     return PointedSystem(pts, SeparatingFamily(pts, members))
 
 
-def _filter_generated(sl: MeetSemilattice, mask: int) -> int:
-    """Smallest filter of M containing the given subset."""
-    elems = [i for i in range(sl.size) if mask >> i & 1]
-    closed = set(elems)
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closed):
-            m = sl.meet(x, y)
-            if m not in closed:
-                closed.add(m)
-                frontier.append(m)
-    out = 0
-    for x in closed:
-        out |= sl.up_mask(x)
-    return out
-
-
-def lattice_sup(lattice: FilterLattice, member_indices) -> int:
-    """Supremum in Fil(M) of a set of filters: the filter their union generates."""
-    union = 0
-    for i in member_indices:
-        union |= lattice.filters[i]
-    if union == 0:
-        return lattice.minimum_index()
-    return lattice.index_of(_filter_generated(lattice.semilattice, union))
-
-
 @dataclass(frozen=True)
 class ModestReport:
     """Compact-element and predecessor bookkeeping for a filter lattice."""
@@ -449,7 +417,7 @@ class ModestReport:
     witness_compact_below: int
     witness_family_order: int
     clopen_filter_family: SeparatingFamily
-    sup_definition_agrees: Optional[bool]  # None when the literal check is capped out
+    sup_definition_agrees: bool
 
 
 def compact_elements_clopen(lattice: FilterLattice) -> tuple[int, ...]:
@@ -458,54 +426,6 @@ def compact_elements_clopen(lattice: FilterLattice) -> tuple[int, ...]:
     qualify."""
     m = lattice.minimum_index()
     return tuple(i for i in range(lattice.size) if i != m)
-
-
-def compact_elements_by_sup(lattice: FilterLattice,
-                            exhaustive_cap: int = 10) -> tuple[int, ...]:
-    """Compact elements from the literal definition: a > 0 such that every
-    subset with supremum a admits a finite subfamily with the same supremum.
-
-    For each subset S the witnessing subfamily is searched in order of
-    increasing cardinality (F = S always terminates the search, every set
-    here being finite).  Quadratic-exponential, hence the low cap.
-    The supremum is memoized on the union of the subfamily's filters,
-    which by definition determines the filter it generates.
-    """
-    if lattice.size > exhaustive_cap:
-        raise CapExceededError(
-            f"literal sup-definition check capped at {exhaustive_cap} lattice points"
-        )
-    from itertools import combinations
-
-    n = lattice.size
-    minimum = lattice.minimum_index()
-    sups: dict[int, int] = {}
-
-    def sup(idxs) -> int:
-        union = 0
-        for i in idxs:
-            union |= lattice.filters[i]
-        if union not in sups:
-            sups[union] = lattice_sup(lattice, idxs)
-        return sups[union]
-
-    ok = [True] * n
-    for smask in range(1 << n):
-        idxs = list(iter_bits(smask))
-        a = sup(idxs)
-        if a == minimum:
-            continue
-        witnessed = False
-        for size in range(len(idxs) + 1):
-            for sub in combinations(idxs, size):
-                if sup(sub) == a:
-                    witnessed = True
-                    break
-            if witnessed:
-                break
-        if not witnessed:
-            ok[a] = False
-    return tuple(i for i in range(n) if i != minimum and ok[i])
 
 
 def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:
@@ -530,11 +450,6 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
     the order of p in G equals that count.
     """
     compact = compact_elements_clopen(lattice)
-    try:
-        by_sup = compact_elements_by_sup(lattice)
-        sup_agrees = by_sup == compact
-    except CapExceededError:
-        sup_agrees = None  # literal check skipped above the cap
     covers = upper_covers(lattice.filters)
     lower_covers = transpose(covers, lattice.size)
     pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
@@ -561,5 +476,7 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
         witness_compact_below=best_count,
         witness_family_order=family_order,
         clopen_filter_family=family,
-        sup_definition_agrees=sup_agrees,
+        # The literal sup definition holds for every a > 0: any subset of
+        # a finite lattice is its own finite witness of its supremum.
+        sup_definition_agrees=True,
     )

@@ -360,6 +360,12 @@ class TestMalformedInput:
     def test_bad_inline_flag(self, capsys, argv):
         self.assert_rejected(capsys, *argv)
 
+    def test_usage_error_is_one_line(self, capsys):
+        code = main(["analyze", "--kind", "tree", "--parents", "-1,0,0", "--analysis", "sigma"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "--parents" in err
+
     def test_points_cap(self, tmp_path, capsys):
         """A huge point count is refused before any mask of that width is built."""
         f = tmp_path / "sys.json"
@@ -420,6 +426,25 @@ class TestLargeInputs:
         assert err == "cap exceeded: poset has 100000 points (cap 20); " \
             "|FS(P)| could reach 2^100000\n"
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command, message", [
+        (["analyze", "--analysis", "selection"], "selection analysis needs a chain or an algebra"),
+        (["solve", "--pool", "free"], "free pool needs a FiniteBooleanAlgebra"),
+    ])
+    def test_huge_poset_refused_unbuilt(self, tmp_path, capsys, command, message):
+        """A poset the command will refuse is refused before it is built,
+        with the message a 3-point poset gets."""
+        errs = []
+        for size in (3, 100000):
+            f = tmp_path / "poset.json"
+            f.write_text(json.dumps({"kind": "poset", "size": size}))
+            start = time.perf_counter()
+            code = main([*command, "--in", str(f)])
+            elapsed = time.perf_counter() - start
+            assert code == 1
+            assert elapsed < 1.0
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"error: {message}\n"] * 2
 
 
 json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)

@@ -7,6 +7,7 @@ from stonelab import (
     FiniteBooleanAlgebra,
     FinitePoset,
     MeetSemilattice,
+    OracleMismatchError,
     ValidationError,
     discrete_witness,
     filters,
@@ -18,9 +19,10 @@ from stonelab import (
     prime_clopen_filters,
     semilattice_system,
 )
+from stonelab.bits import upper_covers
 from stonelab.families import is_t0_separating
 from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
-from stonelab.orders import compact_elements_by_sup, compact_elements_clopen, generator_mask
+from stonelab.orders import compact_elements_clopen, generator_mask
 
 
 class TestPosetValidation:
@@ -43,6 +45,18 @@ class TestPosetValidation:
     def test_from_pairs_cycle_rejected(self):
         with pytest.raises(ValidationError):
             FinitePoset.from_pairs(2, [(0, 1), (1, 0)])
+
+    def test_not_transitive_only_through_three_chain(self):
+        # the 5-chain with 1 <= 3 dropped: 1 <= 2 <= 3 is the one failing chain
+        up = [0b11111 & ~((1 << i) - 1) for i in range(5)]
+        up[1] &= ~(1 << 3)
+        with pytest.raises(ValidationError, match=r"not transitive at \(1,2\)"):
+            FinitePoset(up)
+
+    def test_longer_cycle_rejected_in_one_line(self):
+        with pytest.raises(ValidationError) as info:
+            FinitePoset.from_pairs(4, [(3, 0), (0, 1), (1, 2), (2, 0)])
+        assert "cycle" in str(info.value) and "\n" not in str(info.value)
 
 
 class TestFinalSegments:
@@ -214,6 +228,75 @@ class TestDiscreteWitness:
                     assert hits == [p]
 
 
+def fixpoint_closure(n, pairs) -> set:
+    """Reflexive-transitive closure of a pair list, one pair at a time."""
+    rel = {(i, i) for i in range(n)} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(rel):
+            for j2, k in list(rel):
+                if j == j2 and (i, k) not in rel:
+                    rel.add((i, k))
+                    changed = True
+    return rel
+
+
+def small_and_random_posets():
+    """Every poset of <= 4 points up to isomorphism, then 200 seeded random
+    ones of <= 8 points, each with the pairs it was built from (or None)."""
+    for n in range(1, 5):
+        for up in posets_up_to_iso(n):
+            yield FinitePoset(up), None
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        label = rng.sample(range(n), n)
+        pairs = [(label[i], label[j]) for i in range(n) for j in range(n)
+                 if i <= j and rng.random() < 0.3]
+        yield FinitePoset.from_pairs(n, pairs), pairs
+
+
+class TestPosetKernels:
+    """The row-based kernels against their pairwise definitions."""
+
+    def test_against_literal_definitions(self):
+        for P, pairs in small_and_random_posets():
+            n = P.size
+            le = {(i, j) for i in range(n) for j in range(n) if P.up[i] >> j & 1}
+            if pairs is not None:
+                assert le == fixpoint_closure(n, pairs)
+            covers = upper_covers(P.up)
+            for p in range(n):
+                below = [q for q in range(n) if (q, p) in le]
+                assert P.down[p] == sum(1 << q for q in below)
+                assert P.strict_down(p) == sum(1 << q for q in below if q != p)
+                maximal = tuple(
+                    q for q in below
+                    if q != p and not any(r not in (q, p) and (q, r) in le for r in below)
+                )
+                assert P.immediate_predecessors(p) == maximal
+                assert covers[p] == sum(1 << q for q in maximal)
+                assert discrete_witness(P, p).tau == maximal
+
+    def test_orientation_against_pairwise_definition(self):
+        for P, _ in small_and_random_posets():
+            L = final_segments(P)
+            a = [generator_mask(L, p) for p in range(P.size)]
+            pairs = [(p, q) for p in range(P.size) for q in range(P.size)]
+            preserving = all(P.leq(p, q) == (a[p] & ~a[q] == 0) for p, q in pairs)
+            reversing = all(P.leq(p, q) == (a[q] & ~a[p] == 0) for p, q in pairs)
+            if preserving and reversing:
+                expected = "degenerate"
+            elif preserving or reversing:
+                expected = "preserving" if preserving else "reversing"
+            else:
+                with pytest.raises(OracleMismatchError):
+                    generator_orientation(L)
+                continue
+            assert generator_orientation(L) == expected
+
+
 class TestMeetSemilattice:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -245,6 +328,30 @@ class TestMeetSemilattice:
             L = filters(M)
             expected = {0} | {M.up_mask(i) for i in range(n)}
             assert set(L.filters) == expected
+
+    def test_filters_equal_meet_closed_upsets(self):
+        """Random intersection-closed families of <= 6 sets, each read as a
+        meet-semilattice: Fil(M) is the empty set plus every meet-closed
+        up-set, found by scanning all subsets."""
+        rng = random.Random(71)
+        checked = 0
+        while checked < 100:
+            sets = {rng.randrange(16) for _ in range(rng.randint(1, 3))}
+            while any(a & b not in sets for a in sets for b in sets):
+                sets |= {a & b for a in sets for b in sets}
+            if len(sets) > 6:
+                continue
+            elems = sorted(sets)
+            index = {m: i for i, m in enumerate(elems)}
+            M = MeetSemilattice([[index[a & b] for b in elems] for a in elems])
+            n = M.size
+            meet_closed = {
+                u for u in upsets_bruteforce(n, M.up)
+                if all(u >> M.meet(i, j) & 1
+                       for i in range(n) for j in range(n) if u >> i & 1 and u >> j & 1)
+            }
+            assert set(filters(M).filters) == {0} | meet_closed
+            checked += 1
 
     def test_system_t0(self):
         for M in (MeetSemilattice.chain(4), MeetSemilattice.antichain_with_bottom(3)):
@@ -291,7 +398,8 @@ class TestModest:
     def test_compact_cross_check(self):
         for M in (MeetSemilattice.chain(4), MeetSemilattice.antichain_with_bottom(2)):
             L = filters(M)
-            assert compact_elements_by_sup(L) == compact_elements_clopen(L)
+            nonempty = tuple(i for i, f in enumerate(L.filters) if f)
+            assert compact_elements_clopen(L) == nonempty
 
     def test_immediate_predecessors_of_chain(self):
         L = filters(MeetSemilattice.chain(4))
