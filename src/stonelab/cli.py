@@ -16,7 +16,7 @@ import sys
 
 from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra, generates_whole
-from .bits import iter_bits, set_label
+from .bits import iter_bits
 from .combinators import (
     DEFAULT_PRODUCT_CAP,
     PointedSystem,
@@ -51,6 +51,7 @@ from .orders import (
     DEFAULT_POSET_CAP,
     FinitePoset,
     MeetSemilattice,
+    _check_semilattice_size,
     check_poset_size,
     discrete_witness,
     filters,
@@ -63,6 +64,7 @@ from .orders import (
 )
 from .solver import GeneratorPool, min_max_order, preset_pool
 from .trees import FiniteForest, initial_chain_algebra, sigma_system
+from .trees import paths as tree_paths
 
 
 # ---------------------------------------------------------------- structures
@@ -71,7 +73,7 @@ def load_structure(args) -> dict:
     """Structure description from --in (JSON file) or inline flags."""
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
-            data = json.load(fh)
+            data = _load_json(fh)
         if isinstance(data, int):  # bare integer = chain length
             data = {"kind": "chain", "n": data}
         if not isinstance(data, dict) or "kind" not in data:
@@ -100,6 +102,13 @@ def load_structure(args) -> dict:
             [_flag_int(v, "--meet") for v in row.split(",")] for row in args.meet.split(";")
         ]
     return data
+
+
+def _load_json(fh):
+    try:
+        return json.load(fh)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValidationError(f"{fh.name}: JSON nested too deeply") from None
 
 
 def _flag_int(token: str, flag: str) -> int:
@@ -146,9 +155,9 @@ def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None
     """The structure a description names.  Field types are checked here, so
     malformed input ends in a ValidationError, never a stray TypeError.
 
-    ``poset_cap`` is the final-segment cap of a command that will read the
-    structure as a poset: a poset, or a chain, above it is refused before
-    it is built, since building an n-point poset alone costs O(n^2).
+    ``poset_cap`` is the enumeration cap of a command that will read the
+    structure as a poset or semilattice: one above it is refused before it
+    is built, since building an n-point order alone costs O(n^2).
     """
     kind = data.get("kind")
     if kind == "algebra":
@@ -174,6 +183,8 @@ def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None
             isinstance(row, list) and all(map(_is_int, row)) for row in table
         ):
             raise ValidationError("semilattice needs a 'meet' table: a list of integer rows")
+        if poset_cap is not None:
+            _check_semilattice_size(len(table), poset_cap)
         return MeetSemilattice(table)
     if kind == "tree":
         parents = data.get("parents")
@@ -191,6 +202,8 @@ def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None
 _CHAIN_AS = {"algebra": FiniteBooleanAlgebra, "poset": FinitePoset.chain}
 # The structure each pool preset wants, where a chain can stand for it.
 _POOL_WANTS = {"free": "algebra", "upsets": "poset"}
+# The one pool preset that takes a structure of each of these kinds.
+_POOL_TAKES = {"poset": "upsets", "semilattice": "filters"}
 
 
 def _shorthand(structure, wants: str | None = None, pool: str | None = None):
@@ -395,10 +408,10 @@ def _duality(args, structure):
     witnesses = [discrete_witness(poset, p) for p in range(poset.size)]
     results = {
         "segment_count": lattice.size,
-        "segments": [lattice.label(i) for i in range(lattice.size)],
+        "segments": list(lattice.labels),
         "family": _family_payload(system.family),
         "prime_filter_count": len(primes),
-        "prime_filter_minima": [lattice.label(pf.minimum_index) for pf in primes],
+        "prime_filter_minima": [lattice.labels[pf.minimum_index] for pf in primes],
         "bijection_with_poset": len(primes) == poset.size,
         "discrete_witnesses": {
             str(w.poset_element): list(w.tau) for w in witnesses
@@ -417,19 +430,18 @@ def _modest(args, structure):
     lattice = filters(structure, cap=cap_enum(args))
     system = semilattice_system(lattice)
     analysis_report = modest_analysis(lattice)
+    labels = lattice.labels
     results = {
         "filter_count": lattice.size,
-        "filters": [lattice.label(i) for i in range(lattice.size)],
+        "filters": list(labels),
         "family": _family_payload(system.family),
-        "compact_elements": [
-            lattice.label(i) for i in analysis_report.compact_elements
-        ],
+        "compact_elements": [labels[i] for i in analysis_report.compact_elements],
         "immediate_predecessor_counts": list(
             analysis_report.immediate_predecessor_counts
         ),
         "is_modest": analysis_report.is_modest,
-        "max_elements": [lattice.label(i) for i in analysis_report.max_elements],
-        "witness_point": lattice.label(analysis_report.witness_point),
+        "max_elements": [labels[i] for i in analysis_report.max_elements],
+        "witness_point": labels[analysis_report.witness_point],
         "witness_compact_below": analysis_report.witness_compact_below,
         "witness_family_order": analysis_report.witness_family_order,
         "sup_definition_agrees": analysis_report.sup_definition_agrees,
@@ -511,7 +523,7 @@ def cmd_analyze(args) -> int:
     run, kinds, wants = ANALYSES[args.analysis]
     if data["kind"] not in kinds:  # refused before it is built
         raise ValidationError(f"{args.analysis} analysis needs {wants}")
-    poset_cap = cap_enum(args) if args.analysis == "duality" else None
+    poset_cap = cap_enum(args) if args.analysis in ("duality", "modest") else None
     structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
     results, notes = run(args, structure)
     emit(args, report(data, args.analysis, results, notes))
@@ -520,6 +532,10 @@ def cmd_analyze(args) -> int:
 
 # ------------------------------------------------------------ clopen formulas
 
+# Deepest nesting of ! and ( in a formula; a level costs up to three frames.
+_MAX_FORMULA_DEPTH = 100
+
+
 class _FormulaParser:
     """Recursive-descent parser for generator formulas: & | ! ( ) g<i> 0 1."""
 
@@ -527,6 +543,7 @@ class _FormulaParser:
         self.algebra = algebra
         self.tokens = self._lex(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _lex(text: str):
@@ -580,16 +597,16 @@ class _FormulaParser:
         return left
 
     def atom(self) -> FreeElement:
-        tok = self.peek()
-        if tok == "!":
-            self.take("!")
-            return ~self.atom()
-        if tok == "(":
-            self.take("(")
-            inner = self.disjunction()
-            self.take(")")
-            return inner
         tok = self.take()
+        if tok in ("!", "("):
+            self.depth += 1
+            if self.depth > _MAX_FORMULA_DEPTH:
+                raise ValidationError(f"formula nests deeper than {_MAX_FORMULA_DEPTH} levels")
+            inner = ~self.atom() if tok == "!" else self.disjunction()
+            if tok == "(":
+                self.take(")")
+            self.depth -= 1
+            return inner
         if tok == "0":
             return self.algebra.zero
         if tok == "1":
@@ -607,10 +624,11 @@ def parse_clopen(algebra: FreeAlgebra, text: str) -> FreeElement:
 
 def cmd_solve(args) -> int:
     data = load_structure(args)
-    if data["kind"] == "poset" and args.pool != "upsets":
-        structure = None  # only the upsets preset takes a poset; the others refuse it unbuilt
-    else:
-        poset_cap = DEFAULT_POSET_CAP if args.pool == "upsets" else None
+    takes = _POOL_TAKES.get(data["kind"])
+    if takes is not None and args.pool != takes:
+        structure = None  # only its own preset takes it; the others refuse it unbuilt
+    else:  # capped where it is read as a poset (a chain, too) or semilattice
+        poset_cap = DEFAULT_POSET_CAP if takes or args.pool == "upsets" else None
         structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
     structure, pool_kind = _shorthand(structure, pool=args.pool or "free")
     if isinstance(structure, PointedSystem):
@@ -643,7 +661,7 @@ def cmd_combine(args) -> int:
     systems = []
     for path in args.inputs:
         with open(path) as fh:
-            systems.append(system_from_json(json.load(fh)))
+            systems.append(system_from_json(_load_json(fh)))
     if op == "product":
         if len(systems) != 2:
             raise ValidationError("product needs exactly two systems")
@@ -702,29 +720,14 @@ def cmd_export_dot(args) -> int:
     structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=cap_enum(args))
     structure, _ = _shorthand(structure, "poset")
     if isinstance(structure, FinitePoset):
-        lattice = final_segments(structure, cap=cap_enum(args))
-        text = dotmod.hasse_dot(
-            [lattice.label(i) for i in range(lattice.size)],
-            lattice.segments,
-            name="segments",
-        )
+        text = dotmod.hasse_dot(final_segments(structure, cap=cap_enum(args)), name="segments")
     elif isinstance(structure, MeetSemilattice):
-        lattice = filters(structure, cap=cap_enum(args))
-        text = dotmod.hasse_dot(
-            [lattice.label(i) for i in range(lattice.size)],
-            lattice.filters,
-            name="filters",
-        )
+        text = dotmod.hasse_dot(filters(structure, cap=cap_enum(args)), name="filters")
     elif isinstance(structure, FiniteForest):
         if getattr(args, "view", None) == "structure":
             text = dotmod.forest_dot(structure)
         else:
-            from .trees import paths as tree_paths
-
-            space = tree_paths(structure)
-            text = dotmod.hasse_dot(
-                [set_label(m) for m in space.paths], space.paths, name="paths"
-            )
+            text = dotmod.hasse_dot(tree_paths(structure), name="paths")
     elif isinstance(structure, PointedSystem):
         text = dotmod.bipartite_dot(structure.family)
     else:

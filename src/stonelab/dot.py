@@ -8,23 +8,22 @@ deterministic text.
 from __future__ import annotations
 
 from .bits import iter_bits, upper_covers
-from .families import SeparatingFamily
+from .families import SeparatingFamily, SetSpace
 
 
 def _escape(s: str) -> str:
     return s.replace('"', '\\"')
 
 
-def hasse_dot(labels, subset_masks, name: str = "hasse") -> str:
-    """Hasse diagram of a collection of sets ordered by inclusion.
+def hasse_dot(space: SetSpace, name: str = "hasse") -> str:
+    """Hasse diagram of a set space ordered by inclusion.
 
-    ``subset_masks[i]`` is the underlying set of node i; edges are the
-    covering inclusions, drawn bottom to top; equal sets get no edge.
+    Node i is the point ``space.sets[i]``; edges are the covering
+    inclusions, drawn bottom to top; equal sets get no edge.
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
-    for i in range(len(subset_masks)):
-        lines.append(f'  n{i} [label="{_escape(labels[i])}"];')
-    for i, above in enumerate(upper_covers(subset_masks)):
+    lines.extend(f'  n{i} [label="{_escape(label)}"];' for i, label in enumerate(space.labels))
+    for i, above in enumerate(upper_covers(space.sets)):
         lines.extend(f"  n{i} -> n{j};" for j in iter_bits(above))
     lines.append("}")
     return "\n".join(lines) + "\n"

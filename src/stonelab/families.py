@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter, generates_whole
-from .bits import iter_bits, signature_classes, transpose
+from .bits import iter_bits, set_label, signature_classes, supersets, transpose
 from .errors import LintWarning, ValidationError
 
 
@@ -80,8 +81,52 @@ class SeparatingFamily:
     def member_sets(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.members)
 
+    @cached_property
+    def _signatures(self) -> tuple[int, ...]:
+        """Per-point membership pattern, one bit per member; computed once."""
+        return tuple(transpose(self.member_sets(), self.points.size))
+
+
+@dataclass(frozen=True)
+class SetSpace:
+    """A dual point set, such as FS(P), Fil(M) or a path space: sorted
+    masks over a base of ``width`` elements, one per point, labeled
+    ``{0,2,5}``-style.  Its canonical family is a_e = {u : e in u}, one
+    member per base element.  Each view is computed once, on first use.
+    """
+
+    width: int
+    sets: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.sets)
+
+    def label(self, i: int) -> str:
+        return self.labels[i]
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.members)
+        return tuple(map(set_label, self.sets))
+
+    @cached_property
+    def points(self) -> PointSet:
+        return PointSet(self.size, self.labels)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """a_e for each base element e: the mask of the points holding e."""
+        return tuple(transpose(self.sets, self.width))
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Per point i, the mask of the points whose set contains ``sets[i]``."""
+        return tuple(supersets(self.sets))
+
+    def family(self, prefix: str) -> SeparatingFamily:
+        """The canonical family {a_e}, member e labeled ``prefix`` + e."""
+        members = tuple(Member(f"{prefix}{e}", mask) for e, mask in enumerate(self.generators))
+        return SeparatingFamily(self.points, members)
 
 
 @dataclass(frozen=True)
@@ -138,9 +183,9 @@ def order_at(family: SeparatingFamily, point: int) -> int:
     return sum(1 for m in family.members if m.bits & bit)
 
 
-def point_signatures(family: SeparatingFamily) -> list[int]:
+def point_signatures(family: SeparatingFamily) -> tuple[int, ...]:
     """Per-point membership pattern, one bit per member."""
-    return transpose(family.member_sets(), family.points.size)
+    return family._signatures
 
 
 def is_t0_separating(family: SeparatingFamily) -> T0Result:

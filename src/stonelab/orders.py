@@ -10,11 +10,10 @@ compact elements and immediate predecessors in filter lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .bits import iter_bits, set_label, supersets, transpose, upper_covers
+from .bits import iter_bits, supersets, transpose, upper_covers
 from .errors import CapExceededError, OracleMismatchError, ValidationError
-from .families import Member, PointSet, SeparatingFamily
+from .families import Member, SeparatingFamily, SetSpace
 from .combinators import PointedSystem
 
 DEFAULT_POSET_CAP = 20
@@ -137,30 +136,12 @@ def _upset_masks(n: int, up, max_count: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class FinalSegmentLattice:
+class FinalSegmentLattice(SetSpace):
     """All final segments (up-sets) of a poset, ordered by inclusion."""
 
     poset: FinitePoset
-    segments: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.segments)
-
-    def index_of(self, mask: int) -> int:
-        return self.segments.index(mask)
-
-    def label(self, idx: int) -> str:
-        return set_label(self.segments[idx])
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.segments[i] & ~self.segments[j] == 0
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """a_p for each point p of the poset: the mask of the segments
-        containing p, the p-th column of the segment matrix."""
-        return tuple(transpose(self.segments, self.poset.size))
+    segments = property(lambda self: self.sets)
 
 
 def check_poset_size(size: int, cap: int) -> None:
@@ -181,7 +162,7 @@ def final_segments(poset: FinitePoset, cap: int = DEFAULT_POSET_CAP,
     check_poset_size(poset.size, cap)
     masks = _upset_masks(poset.size, poset.up, max_count)
     masks.sort(key=lambda m: (m.bit_count(), m))
-    return FinalSegmentLattice(poset, tuple(masks))
+    return FinalSegmentLattice(poset.size, tuple(masks), poset)
 
 
 def generator_mask(lattice: FinalSegmentLattice, p: int) -> int:
@@ -195,9 +176,7 @@ def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
     The family is T0-separating (segments differing at p are split by a_p),
     and p <= q in P holds exactly when a_p is a subset of a_q.
     """
-    pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    members = tuple(Member(f"a_{p}", mask) for p, mask in enumerate(lattice.generators))
-    return PointedSystem(pts, SeparatingFamily(pts, members))
+    return PointedSystem(lattice.points, lattice.family("a_"))
 
 
 def generator_orientation(lattice: FinalSegmentLattice) -> str:
@@ -243,7 +222,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
     holders = lattice.generators  # holders[e]: segments holding e
     base_of = {mask: p for p, mask in enumerate(lattice.poset.up)}
     primes = []
-    for a, fmask in enumerate(supersets(segs)):
+    for a, fmask in enumerate(lattice.up):
         if not segs[a]:
             continue
         if not any(holders[e] & ~fmask == 0 for e in iter_bits(segs[a])):
@@ -251,7 +230,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
         base = base_of.get(segs[a])
         if base is None:
             raise OracleMismatchError(
-                f"prime filter minimum {set_label(segs[a])} is not of the form [p,->)"
+                f"prime filter minimum {lattice.label(a)} is not of the form [p,->)"
             )
         primes.append(PrimeFilterInfo(tuple(iter_bits(fmask)), a, base))
 
@@ -320,20 +299,21 @@ class MeetSemilattice:
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
                     raise ValidationError(f"meet not commutative at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                        raise ValidationError(
-                            f"meet not associative at ({i},{j},{k})"
-                        )
-        self.size = n
-        self.table = tuple(rows)
         up = [0] * n
         for i, r in enumerate(rows):
             for j, m in enumerate(r):
                 if m == i:
                     up[i] |= 1 << j
+        # Given idempotence and commutativity, associativity holds exactly
+        # when every meet is the greatest lower bound on the down-sets.
+        down = transpose(up, n)
+        for i, r in enumerate(rows):
+            for j, m in enumerate(r):
+                if down[m] != down[i] & down[j]:
+                    raise ValidationError(f"meet not associative: meet({i},{j}) = {m} "
+                                          f"is not the greatest lower bound of {i} and {j}")
+        self.size = n
+        self.table = tuple(rows)
         self.up = tuple(up)
 
     @classmethod
@@ -359,24 +339,21 @@ class MeetSemilattice:
 
 
 @dataclass(frozen=True)
-class FilterLattice:
-    """All filters of a meet-semilattice, including the empty one."""
+class FilterLattice(SetSpace):
+    """All filters of a meet-semilattice, including the empty one (mask 0)."""
 
     semilattice: MeetSemilattice
-    filters: tuple[int, ...]  # masks over the semilattice, 0 = empty filter
 
-    @property
-    def size(self) -> int:
-        return len(self.filters)
-
-    def index_of(self, mask: int) -> int:
-        return self.filters.index(mask)
-
-    def label(self, idx: int) -> str:
-        return set_label(self.filters[idx])
+    filters = property(lambda self: self.sets)
 
     def minimum_index(self) -> int:
-        return self.filters.index(0)
+        return self.sets.index(0)
+
+
+def _check_semilattice_size(size: int, cap: int) -> None:
+    """Refuse a semilattice above the cap; the CLI checks a table unbuilt."""
+    if size > cap:
+        raise CapExceededError(f"semilattice has {size} points (cap {cap})")
 
 
 def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP) -> FilterLattice:
@@ -386,23 +363,15 @@ def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP) -> FilterLattice:
     its elements, so F = up(a); each up(a) is a filter.  Fil(M) is thus the
     empty filter plus the principal filters, one per element.
     """
-    if sl.size > cap:
-        raise CapExceededError(
-            f"semilattice has {sl.size} points (cap {cap})"
-        )
+    _check_semilattice_size(sl.size, cap)
     out = [0, *sl.up]
     out.sort(key=lambda m: (m.bit_count(), m))
-    return FilterLattice(sl, tuple(out))
+    return FilterLattice(sl.size, tuple(out), sl)
 
 
 def semilattice_system(lattice: FilterLattice) -> PointedSystem:
     """Points Fil(M) with the canonical family {a_p : p in M}; T0-separating."""
-    pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    members = tuple(
-        Member(f"a_{p}", mask)
-        for p, mask in enumerate(transpose(lattice.filters, lattice.semilattice.size))
-    )
-    return PointedSystem(pts, SeparatingFamily(pts, members))
+    return PointedSystem(lattice.points, lattice.family("a_"))
 
 
 @dataclass(frozen=True)
@@ -432,13 +401,10 @@ def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:
     """The family G over Fil(M): the empty filter of the lattice plus the
     principal up-set of each compact element (the improper filter, the
     whole lattice, is excluded)."""
-    up = supersets(lattice.filters)
+    labels, up = lattice.labels, lattice.up
     members = [Member("G:empty", 0)]
-    members += [
-        Member(f"G:up:{lattice.label(a)}", up[a]) for a in compact_elements_clopen(lattice)
-    ]
-    pts = PointSet(lattice.size, tuple(lattice.label(i) for i in range(lattice.size)))
-    return SeparatingFamily(pts, tuple(members))
+    members += [Member(f"G:up:{labels[a]}", up[a]) for a in compact_elements_clopen(lattice)]
+    return SeparatingFamily(lattice.points, tuple(members))
 
 
 def modest_analysis(lattice: FilterLattice) -> ModestReport:
@@ -457,14 +423,10 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
     maxima = tuple(i for i in range(lattice.size) if not covers[i])
     family = clopen_filter_family(lattice)
 
-    best_point = maxima[0]
-    best_count = -1
-    for p in maxima:
-        fp = lattice.filters[p]
-        count = sum(1 for a in compact if lattice.filters[a] & ~fp == 0)
-        if count > best_count:
-            best_count = count
-            best_point = p
+    up = lattice.up  # a is below p exactly when up[a] holds p
+    below = [sum(up[a] >> p & 1 for a in compact) for p in maxima]
+    best_count = max(below)
+    best_point = maxima[below.index(best_count)]
     pbit = 1 << best_point
     family_order = sum(1 for m in family.members if m.bits & pbit)
     return ModestReport(

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import islice
 
 from .algebra import FiniteBooleanAlgebra
-from .bits import iter_bits, set_label, signature_classes, supersets, transpose
+from .bits import iter_bits, set_label, signature_classes, transpose
 from .errors import CapExceededError, PoolInsufficientError, ValidationError
 from .families import (
     Member,
@@ -351,14 +351,10 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
             lattice = structure
         else:
             raise ValidationError("upsets pool needs a FinitePoset")
-        pts = PointSet(
-            lattice.size, tuple(lattice.label(i) for i in range(lattice.size))
-        )
         cands = tuple(
-            Member(f"up:{lattice.label(i)}", mask)
-            for i, mask in enumerate(supersets(lattice.segments))
+            Member(f"up:{label}", mask) for label, mask in zip(lattice.labels, lattice.up)
         )
-        return GeneratorPool(pts, cands, "upsets")
+        return GeneratorPool(lattice.points, cands, "upsets")
     if kind == "tree":
         if not isinstance(structure, FiniteForest):
             raise ValidationError("tree pool needs a FiniteForest")

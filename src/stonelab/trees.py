@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, FiniteBooleanAlgebra, SubalgebraPartition, generated_subalgebra
-from .bits import set_label, transpose
 from .combinators import PointedSystem
 from .errors import ValidationError
-from .families import Member, PointSet, SeparatingFamily
+from .families import SetSpace
 
 
 class FiniteForest:
@@ -77,15 +76,13 @@ class FiniteForest:
 
 
 @dataclass(frozen=True)
-class PathSpace:
-    """All downward-closed chains of a forest, the empty path included."""
+class PathSpace(SetSpace):
+    """All downward-closed chains of a forest as node masks, the empty path
+    first; its generators are the V_t, one per node t."""
 
     forest: FiniteForest
-    paths: tuple[int, ...]  # node masks; paths[0] == 0
 
-    @property
-    def size(self) -> int:
-        return len(self.paths)
+    paths = property(lambda self: self.sets)
 
 
 def paths(forest: FiniteForest) -> PathSpace:
@@ -94,7 +91,7 @@ def paths(forest: FiniteForest) -> PathSpace:
     masks = [0]
     for t in range(forest.size):
         masks.append(forest.ancestors[t] | (1 << t))
-    return PathSpace(forest, tuple(masks))
+    return PathSpace(forest.size, tuple(masks), forest)
 
 
 def sigma_system(forest: FiniteForest) -> PointedSystem:
@@ -103,12 +100,7 @@ def sigma_system(forest: FiniteForest) -> PointedSystem:
     ord(A) = |A| for every path A, so the maximal order is the height.
     """
     space = paths(forest)
-    labels = tuple(set_label(m) for m in space.paths)
-    pts = PointSet(space.size, labels)
-    members = tuple(
-        Member(f"V+{t}", mask) for t, mask in enumerate(transpose(space.paths, forest.size))
-    )
-    return PointedSystem(pts, SeparatingFamily(pts, members))
+    return PointedSystem(space.points, space.family("V+"))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonelab.cli import _json, main, parse_clopen
+from stonelab import ValidationError
+from stonelab.cli import _MAX_FORMULA_DEPTH, _json, main, parse_clopen
 from stonelab.freealg import FreeAlgebra
 
 
@@ -290,6 +291,16 @@ def test_formula_parser():
         parse_clopen(F, "g0 &")
 
 
+def test_formula_nesting():
+    F = FreeAlgebra(2)
+    nested = "(" * 50 + "g0 & !g1" + ")" * 50
+    assert parse_clopen(F, nested).table == F.basic_clopen({0}, {1}).table
+    assert parse_clopen(F, "(!" * 25 + "g0" + ")" * 25).table == (~F.generator(0)).table
+    assert parse_clopen(F, "!" * _MAX_FORMULA_DEPTH + "g1").table == F.generator(1).table
+    with pytest.raises(ValidationError, match="nests deeper"):
+        parse_clopen(F, "!" * (_MAX_FORMULA_DEPTH + 1) + "g1")
+
+
 SYS_FILE = str(Path(__file__).resolve().with_name("golden") / "sys_a.json")
 
 
@@ -359,6 +370,22 @@ class TestMalformedInput:
     ])
     def test_bad_inline_flag(self, capsys, argv):
         self.assert_rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("formula", ["!" * 3000 + "g0", "(" * 3000 + "g0" + ")" * 3000])
+    def test_deeply_nested_formula(self, capsys, formula):
+        self.assert_rejected(
+            capsys, "analyze", "--kind", "free", "--s", "2", "--analysis", "minsupport",
+            "--clopen", formula,
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--analysis", "duality", "--in"],
+        ["combine", "--op", "sum", "--inputs"],
+    ])
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        f = tmp_path / "deep.json"
+        f.write_text('{"kind": "poset", "size": 2, "le": ' + "[" * 100000 + "]" * 100000 + "}")
+        self.assert_rejected(capsys, *command, str(f))
 
     def test_usage_error_is_one_line(self, capsys):
         code = main(["analyze", "--kind", "tree", "--parents", "-1,0,0", "--analysis", "sigma"])
@@ -445,6 +472,25 @@ class TestLargeInputs:
             assert elapsed < 1.0
             errs.append(capsys.readouterr().err)
         assert errs == [f"error: {message}\n"] * 2
+
+    @pytest.mark.parametrize("command, code, message", [
+        (["analyze", "--analysis", "modest"], 2,
+         "cap exceeded: semilattice has 300 points (cap 20)"),
+        (["export-dot"], 2, "cap exceeded: semilattice has 300 points (cap 20)"),
+        (["solve", "--pool", "filters"], 2, "cap exceeded: semilattice has 300 points (cap 20)"),
+        (["solve", "--pool", "free"], 1, "error: free pool needs a FiniteBooleanAlgebra"),
+    ])
+    def test_large_semilattice_refused_unbuilt(self, tmp_path, capsys, command, code, message):
+        """A 300-element meet table is refused before its O(n^2) validation."""
+        f = tmp_path / "meet.json"
+        f.write_text(json.dumps({
+            "kind": "semilattice", "meet": [[min(i, j) for j in range(300)] for i in range(300)],
+        }))
+        start = time.perf_counter()
+        assert main([*command, "--in", str(f)]) == code
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().err == message + "\n"
+        assert elapsed < 1.0
 
 
 json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)

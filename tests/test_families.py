@@ -1,14 +1,34 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
 
-from stonelab import FiniteBooleanAlgebra, LintWarning, ValidationError
+from stonelab import (
+    FiniteBooleanAlgebra,
+    FiniteForest,
+    FinitePoset,
+    LintWarning,
+    MeetSemilattice,
+    ValidationError,
+    cli,
+    filters,
+    final_segments,
+    paths,
+    poset_system,
+    preset_pool,
+    semilattice_system,
+    sigma_system,
+    trees,
+)
+from stonelab.bits import set_label
 from stonelab.families import (
     Member,
     PointSet,
     SeparatingFamily,
+    SetSpace,
     family_from_elements,
     family_from_sets,
     is_point_finite,
@@ -16,8 +36,10 @@ from stonelab.families import (
     order_at,
     order_profile,
     point_finiteness_bound,
+    point_signatures,
     selection_value,
 )
+from stonelab.orders import clopen_filter_family
 
 
 def fam(size, sets):
@@ -170,3 +192,111 @@ def test_point_set_validation():
         PointSet(2, ("only-one",))
     with pytest.raises(ValidationError):
         SeparatingFamily(PointSet(2), (Member("m", 0b100),))
+
+
+@st.composite
+def set_spaces(draw):
+    width = draw(st.integers(0, 6))
+    sets = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12, unique=True))
+    return SetSpace(width, tuple(sorted(sets)))
+
+
+class TestSetSpace:
+    """Each view of a set space against its literal definition."""
+
+    @given(set_spaces())
+    def test_labels(self, space):
+        literal = tuple(
+            "{" + ",".join(str(e) for e in range(space.width) if s >> e & 1) + "}"
+            for s in space.sets
+        )
+        assert space.labels == literal
+        assert [space.label(i) for i in range(space.size)] == list(literal)
+        assert space.points == PointSet(len(space.sets), literal)
+
+    @given(set_spaces())
+    def test_generators(self, space):
+        assert space.generators == tuple(
+            sum(1 << i for i, s in enumerate(space.sets) if s >> e & 1)
+            for e in range(space.width)
+        )
+
+    @given(set_spaces())
+    def test_up(self, space):
+        assert space.up == tuple(
+            sum(1 << j for j, t in enumerate(space.sets) if s & ~t == 0)
+            for s in space.sets
+        )
+
+    @given(set_spaces(), st.sampled_from(["a_", "V+", ""]))
+    def test_family(self, space, prefix):
+        family = space.family(prefix)
+        assert family.points is space.points
+        assert [(m.label, m.bits) for m in family.members] == [
+            (f"{prefix}{e}", sum(1 << i for i, s in enumerate(space.sets) if s >> e & 1))
+            for e in range(space.width)
+        ]
+
+    @given(set_spaces())
+    def test_family_signatures(self, space):
+        family = space.family("a_")
+        signatures = point_signatures(family)
+        assert signatures == tuple(
+            sum(1 << i for i, m in enumerate(family.members) if m.bits >> p & 1)
+            for p in range(space.size)
+        )
+        assert point_signatures(family) is signatures  # transposed once
+
+
+def small_spaces():
+    """FS(P) of a 3-point poset, Fil(M) of a 3-element chain, and the path
+    space of a 3-node tree."""
+    segments = final_segments(FinitePoset.from_pairs(3, [(0, 1)]))
+    fils = filters(MeetSemilattice.chain(3))
+    forest = FiniteForest([None, 0, 0])
+    return segments, fils, forest
+
+
+class TestSetSpaceReuse:
+    """Systems, pools and families over a set space use its one point set,
+    so no layer builds a second round of labels."""
+
+    def test_lattice_systems_and_pools(self):
+        segments, fils, _ = small_spaces()
+        for system in (poset_system(segments), semilattice_system(fils)):
+            assert system.family.points is system.points
+        assert poset_system(segments).points is segments.points
+        assert semilattice_system(fils).points is fils.points
+        assert preset_pool("upsets", segments).points is segments.points
+        assert preset_pool("filters", fils).points is fils.points
+        assert clopen_filter_family(fils).points is fils.points
+
+    def test_path_space(self, monkeypatch):
+        _, _, forest = small_spaces()
+        space = paths(forest)
+        monkeypatch.setattr(trees, "paths", lambda f: space)
+        system = sigma_system(forest)
+        assert system.points is space.points and system.family.points is space.points
+        assert preset_pool("tree", forest).points is space.points
+
+    @pytest.mark.parametrize("argv, points", [
+        (["analyze", "--kind", "chain", "--n", "3", "--analysis", "duality"], 4),
+        (["analyze", "--kind", "semilattice", "--meet", "0,0,0;0,1,1;0,1,2",
+          "--analysis", "modest"], 4),
+        (["analyze", "--kind", "tree", "--parents=-1,0,0", "--analysis", "sigma"], 4),
+        (["export-dot", "--kind", "chain", "--n", "3"], 4),
+        (["solve", "--kind", "chain", "--n", "3", "--pool", "upsets"], 4),
+    ])
+    def test_one_label_per_point(self, monkeypatch, capsys, argv, points):
+        calls = []
+
+        def counting(mask):
+            calls.append(mask)
+            return set_label(mask)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stonelab") and getattr(module, "set_label", None) is set_label:
+                monkeypatch.setattr(module, "set_label", counting)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == points

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -352,6 +353,34 @@ class TestMeetSemilattice:
             }
             assert set(filters(M).filters) == {0} | meet_closed
             checked += 1
+
+    def test_not_associative(self):
+        # commutative and idempotent, but (0^1)^2 = 2 while 0^(1^2) = 0
+        with pytest.raises(ValidationError, match="not associative"):
+            MeetSemilattice([[0, 0, 2], [0, 1, 1], [2, 1, 2]])
+
+    def test_row_check_equals_triple_loop(self):
+        """Every commutative idempotent table of <= 4 elements: accepted
+        exactly when the literal associativity law holds."""
+        tables = associative = 0
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for values in itertools.product(range(n), repeat=len(pairs)):
+                t = [[i] * n for i in range(n)]
+                for (i, j), v in zip(pairs, values):
+                    t[i][j] = t[j][i] = v
+                literal = all(t[t[i][j]][k] == t[i][t[j][k]]
+                              for i in range(n) for j in range(n) for k in range(n))
+                try:
+                    MeetSemilattice(t)
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == literal, t
+                tables += 1
+                associative += literal
+        assert tables == 4126
+        assert 0 < associative < tables
 
     def test_system_t0(self):
         for M in (MeetSemilattice.chain(4), MeetSemilattice.antichain_with_bottom(3)):
