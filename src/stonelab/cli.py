@@ -13,6 +13,8 @@ import json
 import os
 import random
 import sys
+from functools import partial
+from typing import Callable, NamedTuple, NoReturn
 
 from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra, generates_whole
@@ -69,46 +71,60 @@ from .trees import paths as tree_paths
 
 # ---------------------------------------------------------------- structures
 
+# Deepest nesting of lists and objects in a structure file; a system file
+# needs 4 levels, and the report encoders recurse once per level.
+_MAX_JSON_DEPTH = 32
+
+
+def read_structure(path: str) -> dict:
+    """The structure description in a JSON file; a bare integer n is the
+    chain of length n."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            deep = _nested_too_deeply(data)
+        except RecursionError:  # the decoder recurses once per nesting level
+            deep = True
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: cannot decode as text: {exc.reason}") from None
+    if deep:
+        raise ValidationError(f"{path}: JSON nested too deeply")
+    if isinstance(data, int):
+        data = {"kind": "chain", "n": data}
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ValidationError("structure file must be an object with a 'kind'")
+    return data
+
+
+def _nested_too_deeply(data) -> bool:
+    level = [data]  # walked breadth first, so without recursion
+    for _ in range(_MAX_JSON_DEPTH):
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    return any(isinstance(x, (dict, list)) for x in level)
+
+
 def load_structure(args) -> dict:
     """Structure description from --in (JSON file) or inline flags."""
-    if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            data = _load_json(fh)
-        if isinstance(data, int):  # bare integer = chain length
-            data = {"kind": "chain", "n": data}
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValidationError("structure file must be an object with a 'kind'")
-        return data
-    kind = getattr(args, "kind", None)
-    if kind is None:
+    if args.infile:
+        return read_structure(args.infile)
+    if args.kind is None:
         raise ValidationError("provide --in FILE or --kind")
-    data = {"kind": kind}
-    if getattr(args, "n", None) is not None:
-        data["n"] = args.n
-    if getattr(args, "s", None) is not None:
-        data["generators"] = args.s
-    if getattr(args, "pairs", None):
+    fields = {"kind": args.kind, "n": args.n, "generators": args.s, "size": args.size}
+    data = {key: value for key, value in fields.items() if value is not None}
+    if args.pairs:
         data["le"] = _parse_pairs(args.pairs)
         data.setdefault("size", 1 + max((max(p) for p in data["le"]), default=-1))
-    if getattr(args, "size", None) is not None:
-        data["size"] = args.size
-    if getattr(args, "parents", None):
+    if args.parents:
         data["parents"] = [
             None if tok in ("-1", "None", "") else _flag_int(tok, "--parents")
             for tok in args.parents.split(",")
         ]
-    if getattr(args, "meet", None):
+    if args.meet:
         data["meet"] = [
             [_flag_int(v, "--meet") for v in row.split(",")] for row in args.meet.split(";")
         ]
     return data
-
-
-def _load_json(fh):
-    try:
-        return json.load(fh)
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise ValidationError(f"{fh.name}: JSON nested too deeply") from None
 
 
 def _flag_int(token: str, flag: str) -> int:
@@ -124,13 +140,11 @@ def _parse_pairs(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "<" not in chunk:
-            raise ValidationError(f"bad pair {chunk!r}; expected like 0<1")
+        a, _, b = chunk.partition("<")  # no "<", or a second one, leaves b no integer
         try:
-            a, b = (int(v) for v in chunk.split("<"))
+            pairs.append([int(a), int(b)])
         except ValueError:
             raise ValidationError(f"bad pair {chunk!r}; expected like 0<1") from None
-        pairs.append([a, b])
     return pairs
 
 
@@ -151,26 +165,59 @@ def _integer(data: dict, what: str, *keys: str) -> int:
         ) from None
 
 
-def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None):
-    """The structure a description names.  Field types are checked here, so
-    malformed input ends in a ValidationError, never a stray TypeError.
+class Takes(NamedTuple):
+    """What a command target takes: the structure kinds, what a chain n
+    stands for there ("atoms": the n-atom algebra, "elements": the
+    n-element chain, "n": n itself), and the refusal of any other kind."""
 
-    ``poset_cap`` is the enumeration cap of a command that will read the
-    structure as a poset or semilattice: one above it is refused before it
-    is built, since building an n-point order alone costs O(n^2).
+    kinds: tuple
+    chain: str
+    refuse: Callable[[], NoReturn]
+
+
+def _refuse(text: str) -> NoReturn:
+    raise ValidationError(text)
+
+
+# pool preset -> what it takes, for solve and for the selection analysis;
+# every pool takes a system file as its own pool, and "all" is read as
+# "free" when --pool is parsed
+POOLS = {
+    preset: Takes((*kinds, "system"), chain, partial(preset_pool, preset, None))
+    for preset, kinds, chain in [
+        ("free", ("algebra", "chain"), "atoms"),
+        ("intervals", ("chain",), "n"),
+        ("upsets", ("poset", "chain"), "elements"),
+        ("tree", ("tree",), "n"),
+        ("filters", ("semilattice",), "n"),
+    ]
+}
+
+
+def build_structure(data: dict, takes: Takes, atom_cap: int = 64,
+                    poset_cap: int = DEFAULT_POSET_CAP):
+    """The structure a description names, read as ``takes`` says.  A kind
+    the target does not take is refused before anything is built; field
+    types are checked here, so malformed input ends in a ValidationError,
+    never a stray TypeError.  A poset or semilattice above ``poset_cap``
+    is refused unbuilt too, since building an n-point order costs O(n^2).
     """
-    kind = data.get("kind")
+    kind = data["kind"]
+    if kind not in takes.kinds:
+        takes.refuse()
     if kind == "algebra":
         return FiniteBooleanAlgebra(_integer(data, "algebra", "atoms", "n"), cap=atom_cap)
     if kind == "chain":
         n = _integer(data, "chain", "n")
-        if poset_cap is not None:
+        if takes.chain == "atoms":
+            return FiniteBooleanAlgebra(n, cap=atom_cap)
+        if takes.chain == "elements":
             check_poset_size(n, poset_cap)
+            return FinitePoset.chain(n)
         return n
     if kind == "poset":
         size = _integer(data, "poset", "size")
-        if poset_cap is not None:
-            check_poset_size(size, poset_cap)
+        check_poset_size(size, poset_cap)
         le = data.get("le", [])
         if not isinstance(le, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in le
@@ -183,8 +230,7 @@ def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None
             isinstance(row, list) and all(map(_is_int, row)) for row in table
         ):
             raise ValidationError("semilattice needs a 'meet' table: a list of integer rows")
-        if poset_cap is not None:
-            _check_semilattice_size(len(table), poset_cap)
+        _check_semilattice_size(len(table), poset_cap)
         return MeetSemilattice(table)
     if kind == "tree":
         parents = data.get("parents")
@@ -193,29 +239,7 @@ def build_structure(data: dict, atom_cap: int = 64, poset_cap: int | None = None
         return FiniteForest(parents)
     if kind == "free":
         return FreeAlgebra(_integer(data, "free algebra", "generators", "s"))
-    if kind == "system":
-        return system_from_json(data)
-    raise ValidationError(f"unknown structure kind {kind!r}")
-
-
-# A chain (an int n) stands for the n-atom algebra or the n-element chain.
-_CHAIN_AS = {"algebra": FiniteBooleanAlgebra, "poset": FinitePoset.chain}
-# The structure each pool preset wants, where a chain can stand for it.
-_POOL_WANTS = {"free": "algebra", "upsets": "poset"}
-# The one pool preset that takes a structure of each of these kinds.
-_POOL_TAKES = {"poset": "upsets", "semilattice": "filters"}
-
-
-def _shorthand(structure, wants: str | None = None, pool: str | None = None):
-    """The CLI's shorthands, in one place: the pool alias "all" means
-    "free", and a chain is read as the structure ``wants`` names, by
-    default the one the pool preset wants.  Returns (structure, pool)."""
-    if pool == "all":
-        pool = "free"
-    wants = wants or _POOL_WANTS.get(pool)
-    if isinstance(structure, int) and wants in _CHAIN_AS:
-        structure = _CHAIN_AS[wants](structure)
-    return structure, pool
+    return system_from_json(data)
 
 
 def system_from_json(data: dict) -> PointedSystem:
@@ -234,7 +258,10 @@ def system_from_json(data: dict) -> PointedSystem:
     members = []
     for i, m in enumerate(raw):
         mask = _member_mask(m, pts.size, i)
-        members.append(Member(m.get("label", f"U{i}"), mask))
+        label = m.get("label", f"U{i}")
+        if not isinstance(label, str):
+            raise ValidationError(f"system member {i}: 'label' must be a string, got {label!r}")
+        members.append(Member(label, mask))
     base = data.get("base_point")
     if base is not None and not _is_int(base):
         raise ValidationError(f"system 'base_point' must be an integer point or null, got {base!r}")
@@ -322,12 +349,12 @@ def _json(obj, indent: str = "") -> str:
 
 
 def emit(args, payload: dict) -> None:
-    text = _json(payload) + "\n"
-    if getattr(args, "human", False):
-        text = human_view(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    _write(human_view(payload) if args.human else _json(payload) + "\n", args.out)
+
+
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -382,8 +409,10 @@ def _family_payload(family: SeparatingFamily) -> dict:
 
 
 def _selection(args, structure):
-    algebra, kind = _shorthand(structure, "algebra", args.pool)
-    pool = preset_pool(kind or ("intervals" if isinstance(structure, int) else "free"), structure)
+    if isinstance(structure, int):  # a chain's points are the atoms: capped before its n^2 pool
+        FiniteBooleanAlgebra(structure, cap=cap_atoms(args))
+    pool = _pool(structure, args.pool or ("intervals" if isinstance(structure, int) else "free"))
+    algebra = FiniteBooleanAlgebra(pool.points.size, cap=cap_atoms(args))
     elements = [algebra.element(m.bits) for m in pool.candidates]
     value, witness = selection_value(algebra, elements)
     family = SeparatingFamily(pool.points, pool.candidates)
@@ -400,8 +429,7 @@ def _selection(args, structure):
     return results, notes
 
 
-def _duality(args, structure):
-    poset, _ = _shorthand(structure, "poset")
+def _duality(args, poset):
     lattice = final_segments(poset, cap=cap_enum(args))
     system = poset_system(lattice)
     primes = prime_clopen_filters(lattice)
@@ -477,8 +505,7 @@ def _sigma(args, structure):
     return results, notes
 
 
-def _freeseq(args, structure):
-    algebra, _ = _shorthand(structure, "algebra")
+def _freeseq(args, algebra):
     best = longest_free_sequence(algebra)
     results = {
         "algebra_sequence_length": best.length,
@@ -507,24 +534,26 @@ def _minsupport(args, structure):
 
 
 # analysis name -> (function of (args, structure) returning (results, notes),
-#                   the structure kinds it takes, what its refusal names)
+#                   what it takes under each --pool, None meaning no --pool)
 ANALYSES = {
-    "selection": (_selection, ("chain", "algebra"), "a chain or an algebra"),
-    "duality": (_duality, ("poset", "chain"), "a poset or chain"),
-    "modest": (_modest, ("semilattice",), "a semilattice"),
-    "sigma": (_sigma, ("tree",), "a tree"),
-    "freeseq": (_freeseq, ("algebra", "chain"), "an algebra or chain"),
-    "minsupport": (_minsupport, ("free",), "a free algebra"),
+    name: (run, {**pools,
+                 None: Takes(kinds, chain, partial(_refuse, f"{name} analysis needs {wants}"))})
+    for name, run, pools, kinds, chain, wants in [
+        ("selection", _selection, POOLS, ("chain", "algebra"), "n", "a chain or an algebra"),
+        ("duality", _duality, {}, ("poset", "chain"), "elements", "a poset or chain"),
+        ("modest", _modest, {}, ("semilattice",), "n", "a semilattice"),
+        ("sigma", _sigma, {}, ("tree",), "n", "a tree"),
+        ("freeseq", _freeseq, {}, ("algebra", "chain"), "atoms", "an algebra or chain"),
+        ("minsupport", _minsupport, {}, ("free",), "n", "a free algebra"),
+    ]
 }
 
 
 def cmd_analyze(args) -> int:
     data = load_structure(args)
-    run, kinds, wants = ANALYSES[args.analysis]
-    if data["kind"] not in kinds:  # refused before it is built
-        raise ValidationError(f"{args.analysis} analysis needs {wants}")
-    poset_cap = cap_enum(args) if args.analysis in ("duality", "modest") else None
-    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
+    run, takes = ANALYSES[args.analysis]
+    structure = build_structure(data, takes.get(args.pool, takes[None]),
+                                cap_atoms(args), cap_enum(args))
     results, notes = run(args, structure)
     emit(args, report(data, args.analysis, results, notes))
     return 0
@@ -622,19 +651,18 @@ def parse_clopen(algebra: FreeAlgebra, text: str) -> FreeElement:
 
 # --------------------------------------------------------------------- solve
 
+def _pool(structure, preset: str) -> GeneratorPool:
+    """The pool solve and selection run on: a system's own members, else
+    the preset over the structure."""
+    if isinstance(structure, PointedSystem):
+        return GeneratorPool(structure.points, structure.family.members, "custom")
+    return preset_pool(preset, structure)
+
+
 def cmd_solve(args) -> int:
     data = load_structure(args)
-    takes = _POOL_TAKES.get(data["kind"])
-    if takes is not None and args.pool != takes:
-        structure = None  # only its own preset takes it; the others refuse it unbuilt
-    else:  # capped where it is read as a poset (a chain, too) or semilattice
-        poset_cap = DEFAULT_POSET_CAP if takes or args.pool == "upsets" else None
-        structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=poset_cap)
-    structure, pool_kind = _shorthand(structure, pool=args.pool or "free")
-    if isinstance(structure, PointedSystem):
-        pool = GeneratorPool(structure.points, structure.family.members, "custom")
-    else:
-        pool = preset_pool(pool_kind, structure)
+    structure = build_structure(data, POOLS[args.pool], cap_atoms(args))
+    pool = _pool(structure, args.pool)
     result = min_max_order(pool, mode=args.mode)
     results = {
         "value": result.value,
@@ -656,23 +684,19 @@ def cmd_solve(args) -> int:
 
 # ------------------------------------------------------------------- combine
 
+_COMBINE = Takes(("system",), "n", partial(_refuse, "combine takes system files only"))
+
+
 def cmd_combine(args) -> int:
-    op = args.op
-    systems = []
-    for path in args.inputs:
-        with open(path) as fh:
-            systems.append(system_from_json(_load_json(fh)))
-    if op == "product":
+    systems = [build_structure(read_structure(path), _COMBINE) for path in args.inputs]
+    extra = None
+    if args.op == "product":
         if len(systems) != 2:
             raise ValidationError("product needs exactly two systems")
         out = product_system(systems[0], systems[1])
-        emit(args, system_to_json(out))
-        return 0
-    if op == "sum":
+    elif args.op == "sum":
         out = sum_with_point(systems)
-        emit(args, system_to_json(out))
-        return 0
-    if op == "duplicate":
+    elif args.op == "duplicate":
         if len(systems) != 1:
             raise ValidationError("duplicate needs exactly one system")
         if args.dup_points:
@@ -680,20 +704,16 @@ def cmd_combine(args) -> int:
         else:
             dup = list(range(systems[0].points.size))
         out = alexandrov_duplication(systems[0], dup)
-        emit(args, system_to_json(out))
-        return 0
-    if op == "porcupine":
-        if len(systems) >= 2:
-            index, fibers = systems[0], systems[1:]
-            if not args.section:
-                raise ValidationError("porcupine needs --section")
-            section = tuple(_flag_int(t, "--section") for t in args.section.split(","))
-            spec = PorcupineSpec(index, tuple(fibers), section)
-        else:
+    else:  # porcupine
+        if len(systems) < 2:
             raise ValidationError(
                 "porcupine needs an index system and one fiber system per index point"
             )
-        result = porcupine(spec)
+        if not args.section:
+            raise ValidationError("porcupine needs --section")
+        section = tuple(_flag_int(t, "--section") for t in args.section.split(","))
+        result = porcupine(PorcupineSpec(systems[0], tuple(systems[1:]), section))
+        out = result.system
         extra = {
             "porcupine_decomposition": [
                 {
@@ -708,36 +728,30 @@ def cmd_combine(args) -> int:
             ],
             "split_fibers": list(result.split_fibers),
         }
-        emit(args, system_to_json(result.system, extra))
-        return 0
-    raise ValidationError(f"unknown combine op {op!r}")
+    emit(args, system_to_json(out, extra))
+    return 0
 
 
 # ---------------------------------------------------------------- export-dot
 
+_DOT = Takes(("poset", "chain", "semilattice", "tree", "system"), "elements",
+             partial(_refuse, "export-dot supports poset, chain, semilattice, tree, system"))
+
+
 def cmd_export_dot(args) -> int:
-    data = load_structure(args)
-    structure = build_structure(data, atom_cap=cap_atoms(args), poset_cap=cap_enum(args))
-    structure, _ = _shorthand(structure, "poset")
+    structure = build_structure(load_structure(args), _DOT, poset_cap=cap_enum(args))
     if isinstance(structure, FinitePoset):
         text = dotmod.hasse_dot(final_segments(structure, cap=cap_enum(args)), name="segments")
     elif isinstance(structure, MeetSemilattice):
         text = dotmod.hasse_dot(filters(structure, cap=cap_enum(args)), name="filters")
     elif isinstance(structure, FiniteForest):
-        if getattr(args, "view", None) == "structure":
+        if args.view == "structure":
             text = dotmod.forest_dot(structure)
         else:
             text = dotmod.hasse_dot(tree_paths(structure), name="paths")
-    elif isinstance(structure, PointedSystem):
+    else:
         text = dotmod.bipartite_dot(structure.family)
-    else:
-        raise ValidationError("export-dot supports poset, chain, semilattice, tree, system")
-    target = args.dot
-    if target:
-        with open(target, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.dot)
     return 0
 
 
@@ -823,22 +837,29 @@ def cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
-def _add_structure_flags(p: argparse.ArgumentParser):
-    p.add_argument("--in", dest="infile", help="JSON structure file")
-    p.add_argument("--kind", choices=["algebra", "poset", "chain", "semilattice", "tree", "free"])
-    p.add_argument("--n", type=int, help="atom count or chain length")
-    p.add_argument("--s", type=int, help="free-algebra generator count")
-    p.add_argument("--size", type=int, help="poset size")
-    p.add_argument("--pairs", help="poset relations, e.g. '0<1,1<2'")
-    p.add_argument("--parents", help="tree parent array, e.g. --parents=-1,0,0")
-    p.add_argument("--meet", help="semilattice meet table, rows ; separated")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--human", action="store_true", help="table view instead of JSON")
-    p.add_argument("--cap-atoms", dest="cap_atoms", type=int,
-                   help="atom-count cap (env STONELAB_CAP_ATOMS)")
-    p.add_argument("--cap-enum", dest="cap_enum", type=int,
-                   help="segment/filter enumeration cap (env STONELAB_CAP_ENUM)")
-    p.add_argument("--seed", type=int, help="seed for randomized demos (env STONELAB_SEED)")
+# the options more than one subcommand takes
+_FLAGS = {
+    "--in": dict(dest="infile", help="JSON structure file"),
+    "--kind": dict(choices=["algebra", "poset", "chain", "semilattice", "tree", "free"]),
+    "--n": dict(type=int, help="atom count or chain length"),
+    "--s": dict(type=int, help="free-algebra generator count"),
+    "--size": dict(type=int, help="poset size"),
+    "--pairs": dict(help="poset relations, e.g. '0<1,1<2'"),
+    "--parents": dict(help="tree parent array, e.g. --parents=-1,0,0"),
+    "--meet": dict(help="semilattice meet table, rows ; separated"),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--human": dict(action="store_true", help="table view instead of JSON"),
+    "--cap-atoms": dict(type=int, help="atom-count cap (env STONELAB_CAP_ATOMS)"),
+    "--cap-enum": dict(type=int, help="segment/filter enumeration cap (env STONELAB_CAP_ENUM)"),
+    "--pool": dict(choices=list(POOLS), type=lambda name: "free" if name == "all" else name,
+                   help="pool preset (all = free)"),
+}
+_STRUCTURE = ("--in", "--kind", "--n", "--s", "--size", "--pairs", "--parents", "--meet")
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -858,33 +879,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("analyze", help="run an analysis on a structure")
-    _add_structure_flags(p)
+    _add_flags(p, *_STRUCTURE, "--out", "--human", "--cap-atoms", "--cap-enum", "--pool")
     p.add_argument(
         "--analysis",
         required=True,
         choices=list(ANALYSES),
     )
-    p.add_argument("--pool", help="pool preset for selection analysis")
     p.add_argument("--clopen", help="formula for minsupport, e.g. 'g0 & !g1'")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="minimize the maximum point order")
-    _add_structure_flags(p)
-    p.add_argument("--pool", help="pool preset: free/all, intervals, upsets, tree, filters")
+    _add_flags(p, *_STRUCTURE, "--out", "--human", "--cap-atoms", "--pool")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, pool="free")
 
     p = sub.add_parser("combine", help="combine systems")
     p.add_argument("--op", required=True, choices=["product", "sum", "duplicate", "porcupine"])
     p.add_argument("--inputs", nargs="+", required=True, help="system JSON files")
     p.add_argument("--dup-points", dest="dup_points", help="points to duplicate, comma separated")
     p.add_argument("--section", help="porcupine section, one local point per fiber")
-    p.add_argument("--out", help="write the result here instead of stdout")
-    p.add_argument("--human", action="store_true")
+    _add_flags(p, "--out", "--human")
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("export-dot", help="DOT drawing of a structure")
-    _add_structure_flags(p)
+    _add_flags(p, *_STRUCTURE, "--cap-enum")
     p.add_argument("--dot", help="output file (stdout if omitted)")
     p.add_argument("--view", choices=["paths", "structure"], default="paths",
                    help="for trees: path-space inclusion diagram or the tree itself")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stonelab import ValidationError
-from stonelab.cli import _MAX_FORMULA_DEPTH, _json, main, parse_clopen
+from stonelab.cli import _MAX_FORMULA_DEPTH, _MAX_JSON_DEPTH, _json, main, parse_clopen
 from stonelab.freealg import FreeAlgebra
 
 
@@ -320,6 +320,8 @@ class TestMalformedInput:
         {"set": [-1]},
         {"set": [3]},
         {"set": [999999999]},
+        {"label": 5, "set": [0]},
+        {"label": [1], "set": [0]},
     ])
     def test_bad_system_member(self, tmp_path, capsys, member):
         f = tmp_path / "sys.json"
@@ -327,7 +329,8 @@ class TestMalformedInput:
             "kind": "system", "points": 3,
             "members": [{"label": "U0", "set": [0]}, member],
         }))
-        self.assert_rejected(capsys, "solve", "--in", str(f))
+        for command in ("solve", "export-dot"):
+            self.assert_rejected(capsys, command, "--in", str(f))
 
     @pytest.mark.parametrize("fields", [
         {"points": "x"},
@@ -386,6 +389,60 @@ class TestMalformedInput:
         f = tmp_path / "deep.json"
         f.write_text('{"kind": "poset", "size": 2, "le": ' + "[" * 100000 + "]" * 100000 + "}")
         self.assert_rejected(capsys, *command, str(f))
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--analysis", "selection", "--in"],
+        ["solve", "--in"],
+    ])
+    def test_unused_field_nested_too_deeply(self, tmp_path, capsys, command):
+        """A file json.load accepts is still refused when the echoed report
+        would nest past the encoders' reach."""
+        f = tmp_path / "deep.json"
+        f.write_text('{"kind": "chain", "n": 3, "x": ' + "[" * 900 + "]" * 900 + "}")
+        assert main([*command, str(f)]) == 1
+        assert capsys.readouterr().err == f"error: {f}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--analysis", "selection", "--in"],
+        ["combine", "--op", "sum", "--inputs"],
+    ])
+    def test_undecodable_file(self, tmp_path, capsys, command):
+        f = tmp_path / "binary.json"
+        f.write_bytes(b'\xff\xfe{"kind": "chain", "n": 3}')
+        self.assert_rejected(capsys, *command, str(f))
+
+    def test_nesting_bound(self, tmp_path, capsys):
+        f = tmp_path / "nested.json"
+        for depth, code in ((_MAX_JSON_DEPTH, 0), (_MAX_JSON_DEPTH + 1, 1)):
+            unused = "[" * (depth - 1) + "]" * (depth - 1)  # the object is one level
+            f.write_text('{"kind": "chain", "n": 3, "x": ' + unused + "}")
+            assert main(["analyze", "--analysis", "selection", "--in", str(f)]) == code
+        assert capsys.readouterr().err == f"error: {f}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--kind", "chain", "--n", "3", "--analysis", "selection", "--seed", "1"],
+        ["solve", "--kind", "chain", "--n", "3", "--seed", "1"],
+        ["export-dot", "--kind", "chain", "--n", "3", "--seed", "1"],
+        ["export-dot", "--kind", "chain", "--n", "3", "--out", "chain.dot"],
+        ["export-dot", "--kind", "chain", "--n", "3", "--human"],
+        ["solve", "--kind", "chain", "--n", "25", "--pool", "upsets", "--cap-enum", "30"],
+        ["export-dot", "--kind", "algebra", "--n", "100", "--cap-atoms", "128"],
+    ])
+    def test_removed_flag(self, tmp_path, monkeypatch, capsys, argv):
+        """Flags that nothing read are usage errors, and write nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "unrecognized arguments" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--kind", "chain", "--n", "3", "--pool", "bogus"],
+        ["solve", "--in", SYS_FILE, "--pool", "bogus"],
+        ["analyze", "--kind", "chain", "--n", "3", "--analysis", "selection", "--pool", "bogus"],
+    ])
+    def test_unknown_pool_is_usage_error(self, capsys, argv):
+        self.assert_rejected(capsys, *argv)
 
     def test_usage_error_is_one_line(self, capsys):
         code = main(["analyze", "--kind", "tree", "--parents", "-1,0,0", "--analysis", "sigma"])
@@ -491,6 +548,90 @@ class TestLargeInputs:
         elapsed = time.perf_counter() - start
         assert capsys.readouterr().err == message + "\n"
         assert elapsed < 1.0
+
+
+class TestInputPath:
+    """Every command reads its input one way: one file reader, and one
+    row per target naming the kinds it takes and what a chain stands for."""
+
+    @pytest.mark.parametrize("text", ["3", "[1, 2]", '{"kind": "chain", "n": 3}'])
+    def test_combine_takes_only_systems(self, tmp_path, capsys, text):
+        f = tmp_path / "in.json"
+        f.write_text(text)
+        assert main(["combine", "--op", "sum", "--inputs", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_chain_selection_meets_cap_atoms(self, capsys):
+        argv = ["analyze", "--kind", "chain", "--n", "70", "--analysis", "selection"]
+        code, rep = run_json(capsys, *argv, "--cap-atoms", "100")
+        assert code == 0
+        assert rep["results"]["selection_value"] == 70
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "cap exceeded: atom_count 70 exceeds cap 64\n"
+
+    @pytest.mark.parametrize("pool", [[], ["--pool", "intervals"]], ids=["default", "intervals"])
+    def test_huge_chain_selection_refused_before_its_pool(self, capsys, pool):
+        """The intervals pool of an n-chain holds n masks of up to n bits."""
+        start = time.perf_counter()
+        code = main(["analyze", "--kind", "chain", "--n", str(10**7), "--analysis", "selection",
+                     *pool])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "cap exceeded: atom_count 10000000 exceeds cap 64\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["analyze", "--analysis", "freeseq"],
+        ["analyze", "--analysis", "selection", "--pool", "free"],
+    ])
+    def test_chain_read_as_atoms_meets_cap_atoms(self, capsys, argv):
+        for kind in ("chain", "algebra"):
+            assert main([*argv, "--kind", kind, "--n", "4", "--cap-atoms", "3"]) == 2
+            assert capsys.readouterr().err == "cap exceeded: atom_count 4 exceeds cap 3\n"
+
+    @pytest.mark.parametrize("pool", ["all", "free"])
+    def test_chain_selection_free_pool(self, capsys, pool):
+        _, expected = run_json(capsys, "analyze", "--kind", "algebra", "--n", "3",
+                               "--analysis", "selection")
+        code, rep = run_json(capsys, "analyze", "--kind", "chain", "--n", "3",
+                             "--analysis", "selection", "--pool", pool)
+        assert code == 0
+        assert rep["results"] == expected["results"]
+        assert rep["notes"] == expected["notes"]
+
+    def test_selection_reads_a_chain_as_its_pool_does(self, capsys):
+        code, rep = run_json(capsys, "analyze", "--kind", "chain", "--n", "3",
+                             "--analysis", "selection", "--pool", "upsets")
+        assert code == 0
+        assert "pool preset: upsets" in rep["notes"]
+        # the 3-chain's 4 segments, each in the up-sets of the segments inside it
+        assert rep["results"]["family"]["per_point_order"] == [1, 2, 3, 4]
+        assert rep["results"]["selection_value"] == 4
+
+    def test_selection_takes_a_system_with_a_pool(self, capsys):
+        code, rep = run_json(capsys, "analyze", "--in", SYS_FILE, "--analysis", "selection",
+                             "--pool", "free")
+        assert code == 0
+        assert "pool preset: custom" in rep["notes"]
+        assert main(["analyze", "--in", SYS_FILE, "--analysis", "selection"]) == 1
+        assert capsys.readouterr().err == \
+            "error: selection analysis needs a chain or an algebra\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["export-dot", "--kind", "algebra", "--n", "100"],
+         "export-dot supports poset, chain, semilattice, tree, system"),
+        (["solve", "--kind", "algebra", "--n", "100", "--pool", "upsets"],
+         "upsets pool needs a FinitePoset"),
+        (["solve", "--kind", "algebra", "--n", "100", "--pool", "intervals"],
+         "intervals pool needs a positive chain length"),
+        (["analyze", "--kind", "algebra", "--n", "100", "--analysis", "duality"],
+         "duality analysis needs a poset or chain"),
+    ], ids=["export-dot", "upsets", "intervals", "duality"])
+    def test_other_kinds_refused_unbuilt(self, capsys, argv, message):
+        """An algebra of 100 atoms would exceed the atom cap if it were built."""
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
