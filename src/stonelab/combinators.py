@@ -257,15 +257,18 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
         labels.extend(f"{x}.{f.points.label(i)}" for i in range(f.size))
     pts = PointSet(total, tuple(labels))
 
-    members = []
-    v0_masks, v1_masks = [], []  # kept apart by kind for the decomposition
-    own = [0] * len(spec.fibers)  # per fiber x: the V1 members built around s(x)
+    # per fiber x: its members avoiding s(x) (the V0 members) and those
+    # holding s(x) (each W containing x builds one V1 member around each)
+    v0_local, around = [], []
     for x, f in enumerate(spec.fibers):
         sbit = 1 << spec.section[x]
-        for m in f.family.members:
-            if not m.bits & sbit:
-                v0_masks.append(m.bits << offsets[x])
-                members.append(Member(f"porc:V0:x={x}:{m.label}", v0_masks[-1]))
+        v0_local.append([m for m in f.family.members if not m.bits & sbit])
+        around.append([m for m in f.family.members if m.bits & sbit])
+
+    members = [
+        Member(f"porc:V0:x={x}:{m.label}", m.bits << offsets[x])
+        for x, fiber_v0 in enumerate(v0_local) for m in fiber_v0
+    ]
     unions = []  # per index member W: the union of the fibers over W
     for w in X.family.members:
         mask = 0
@@ -276,39 +279,37 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     for w, union in zip(X.family.members, unions):
         for x in iter_bits(w.bits):
             others = union & ~fiber_mask[x]
-            sbit = 1 << spec.section[x]
-            for u in spec.fibers[x].family.members:
-                if u.bits & sbit:
-                    own[x] |= 1 << len(v1_masks)
-                    v1_masks.append(others | (u.bits << offsets[x]))
-                    members.append(
-                        Member(f"porc:V1:x={x}:W={w.label}:U={u.label}", v1_masks[-1])
-                    )
+            members.extend(
+                Member(f"porc:V1:x={x}:W={w.label}:U={u.label}", others | (u.bits << offsets[x]))
+                for u in around[x]
+            )
 
     family = SeparatingFamily(pts, tuple(members))
     system = PointedSystem(pts, family)
 
-    # Column p of a kind's bit matrix holds the members of that kind
-    # containing point p.  The V1 members built around the section point of
-    # p's own fiber count toward v_minus, the other V1 members toward v_star2.
-    v0_cols = transpose(v0_masks, total)
-    full_cols = transpose(unions, total)
-    v1_cols = transpose(v1_masks, total)
+    # A point i of fiber x lies in the V0 members of fiber x that hold i; in
+    # the full union over each W containing x (v_star of them); in the V1
+    # members built around s(x) whose U holds i, v_star times over; and in
+    # every V1 member built around s(y) for another y of such a W, since that
+    # member holds all of fiber x.
+    index_cols = transpose([w.bits for w in X.family.members], X.size)
+    around_count = [len(a) for a in around]
+    around_sum = [sum(around_count[y] for y in iter_bits(w.bits)) for w in X.family.members]
     decomposition = []
     for x, f in enumerate(spec.fibers):
-        for p in range(offsets[x], offsets[x] + f.size):
-            vm = (v1_cols[p] & own[x]).bit_count()
-            decomposition.append(PorcupinePointOrders(
-                p, v0_cols[p].bit_count(), vm, full_cols[p].bit_count(),
-                v1_cols[p].bit_count() - vm,
-            ))
+        v_star = index_cols[x].bit_count()
+        v_star2 = sum(around_sum[k] for k in iter_bits(index_cols[x])) - v_star * around_count[x]
+        v0_cols = transpose([m.bits for m in v0_local[x]], f.size)
+        around_cols = transpose([u.bits for u in around[x]], f.size)
+        decomposition.extend(
+            PorcupinePointOrders(offsets[x] + i, v0_cols[i].bit_count(),
+                                 v_star * around_cols[i].bit_count(), v_star, v_star2)
+            for i in range(f.size)
+        )
 
     split = tuple(
         x
         for x, f in enumerate(spec.fibers)
-        if any(
-            m.bits >> spec.section[x] & 1 and m.bits != (1 << f.size) - 1
-            for m in f.family.members
-        )
+        if any(u.bits != (1 << f.size) - 1 for u in around[x])
     )
     return PorcupineResult(system, tuple(decomposition), split)

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,8 +7,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonelab import ValidationError
-from stonelab.cli import _MAX_FORMULA_DEPTH, _MAX_JSON_DEPTH, _json, main, parse_clopen
+from stonelab import ValidationError, cli
+from stonelab.bits import iter_bits
+from stonelab.cli import (
+    _MAX_FORMULA_DEPTH,
+    _MAX_JSON_DEPTH,
+    _indices,
+    _json,
+    build_parser,
+    main,
+    parse_clopen,
+)
 from stonelab.freealg import FreeAlgebra
 
 
@@ -570,15 +580,27 @@ class TestInputPath:
         assert main(argv) == 2
         assert capsys.readouterr().err == "cap exceeded: atom_count 70 exceeds cap 64\n"
 
-    @pytest.mark.parametrize("pool", [[], ["--pool", "intervals"]], ids=["default", "intervals"])
-    def test_huge_chain_selection_refused_before_its_pool(self, capsys, pool):
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--analysis", "selection"],
+        ["analyze", "--analysis", "selection", "--pool", "intervals"],
+        ["solve", "--pool", "intervals"],
+        ["solve", "--pool", "intervals", "--mode", "greedy"],
+    ], ids=["default", "intervals", "solve-intervals", "solve-intervals-greedy"])
+    def test_huge_chain_selection_refused_before_its_pool(self, capsys, argv):
         """The intervals pool of an n-chain holds n masks of up to n bits."""
         start = time.perf_counter()
-        code = main(["analyze", "--kind", "chain", "--n", str(10**7), "--analysis", "selection",
-                     *pool])
+        code = main([*argv, "--kind", "chain", "--n", str(10**7)])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert capsys.readouterr().err == "cap exceeded: atom_count 10000000 exceeds cap 64\n"
+
+    def test_greedy_intervals_solve_meets_cap_atoms(self, capsys):
+        argv = ["solve", "--kind", "chain", "--n", "70", "--pool", "intervals", "--mode", "greedy"]
+        code, rep = run_json(capsys, *argv, "--cap-atoms", "100")
+        assert code == 0
+        assert rep["results"]["point_count"] == 70
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "cap exceeded: atom_count 70 exceeds cap 64\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve"],
@@ -650,3 +672,40 @@ json_values = st.recursive(
 @example({"": [], "é": {}, "b": [True, False, None, 1.5, "ü\n", [1, -2], [True, 1], {}]})
 def test_report_encoder_matches_json_dumps(payload):
     assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; each call starts afresh."""
+
+    def test_no_option_leaks_into_the_next_call(self, tmp_path, capsys):
+        plain = ["solve", "--kind", "chain", "--n", "4"]
+        build_parser.cache_clear()
+        code, first = run(capsys, *plain)
+        assert code == 0
+        out = tmp_path / "report.txt"
+        assert main([*plain, "--pool", "upsets", "--mode", "greedy", "--human",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert "greedy upper bound" in out.read_text()
+        assert run(capsys, *plain) == (0, first)
+        assert build_parser() is build_parser()
+
+    def test_command_looked_up_when_it_runs(self, monkeypatch, capsys):
+        """The benchmark's tracer rebinds cli.cmd_* after the parser exists."""
+        assert main(["solve", "--kind", "chain", "--n", "3"]) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.n) or 7)
+        assert main(["solve", "--kind", "chain", "--n", "3"]) == 7
+        assert seen == [3]
+
+
+def test_indices_match_iter_bits():
+    """The report's point lists: text path for dense masks, bit loop for sparse."""
+    rng = random.Random(7)
+    masks = [0, 1, 1 << 4095] + [(1 << w) - 1 for w in range(1, 71)]
+    for width in (64, 576, 4096):
+        for ones in (width // 8 - 1, width // 8, width // 8 + 1, width // 2, width):
+            masks += [sum(1 << p for p in rng.sample(range(width), ones)) for _ in range(3)]
+    for mask in masks:
+        assert _indices(mask) == list(iter_bits(mask))

@@ -14,6 +14,7 @@ from stonelab import (
     sum_with_point,
     system_from_sets,
 )
+from stonelab.bits import iter_bits
 from stonelab.families import is_t0_separating, order_at, order_profile
 
 # random instances legitimately produce duplicate members; the lint is tested explicitly
@@ -204,6 +205,56 @@ class TestPorcupine:
             for d in res.decomposition:
                 assert d.total == prof.per_point[d.point]
             assert is_t0_separating(res.system.family).separating
+
+    @staticmethod
+    def recount(res, fibers):
+        """Each part of each point's order, recounted from the member labels."""
+        owner = [x for x, f in enumerate(fibers) for _ in range(f.points.size)]
+        parts = {d.point: [0, 0, 0, 0] for d in res.decomposition}
+        for m in res.system.family.members:
+            kind = m.label.split(":")
+            for p in iter_bits(m.bits):
+                if kind[1] == "V0":
+                    parts[p][0] += 1
+                elif kind[2] == "full":
+                    parts[p][2] += 1
+                else:
+                    parts[p][1 if int(kind[2][2:]) == owner[p] else 3] += 1
+        return parts
+
+    @pytest.mark.parametrize("index, fibers, section", [
+        # duplicate fiber members
+        ([[0], [0, 1]], [(2, [[0, 1], [0, 1], [1]]), (2, [[0], [1], [1]])], (0, 1)),
+        # an empty index member
+        ([[], [0], [0, 1], []], [(3, [[0], [1], [2]]), (2, [[0], [1]])], (2, 0)),
+        # a fiber member equal to the whole fiber
+        ([[0], [1], [0, 1]], [(3, [[0, 1, 2], [0], [1]]), (1, [[0]])], (1, 0)),
+        # no member of fiber 0 holds its section point
+        ([[0, 1], [1]], [(3, [[1], [2], [1, 2]]), (2, [[0], [0, 1]])], (0, 1)),
+    ], ids=["duplicate-members", "empty-index-member", "whole-fiber-member",
+            "section-point-uncovered"])
+    def test_decomposition_recounts_from_labels(self, index, fibers, section):
+        X = system_from_sets(len(fibers), index)
+        fibers = tuple(system_from_sets(n, sets) for n, sets in fibers)
+        res = porcupine(PorcupineSpec(X, fibers, section))
+        parts = self.recount(res, fibers)
+        assert [d.point for d in res.decomposition] == list(range(res.system.points.size))
+        for d in res.decomposition:
+            assert parts[d.point] == [d.v0, d.v_minus, d.v_star, d.v_star2]
+
+    def test_decomposition_recounts_on_random_fibers(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            X = random_t0_system(rng, max_points=4, max_members=5, cover=rng.random() < 0.8)
+            fibers = tuple(random_t0_system(rng, max_points=6, max_members=6)
+                           for _ in range(X.points.size))
+            section = tuple(rng.randrange(f.points.size) for f in fibers)
+            res = porcupine(PorcupineSpec(X, fibers, section))
+            parts = self.recount(res, fibers)
+            prof = order_profile(res.system.family)
+            for d in res.decomposition:
+                assert parts[d.point] == [d.v0, d.v_minus, d.v_star, d.v_star2]
+                assert d.total == prof.per_point[d.point]
 
     def test_separation_case_analysis(self):
         # every pair class from the gluing is separated: two non-section
