@@ -96,21 +96,40 @@ def signature_classes(signatures) -> list[int]:
     return list(classes.values())
 
 
-def is_free(masks, full: int) -> bool:
-    """Whether the sequence of sets ``masks`` inside ``full`` is free.
+def extend_cells(cells, b: int):
+    """The split cells of a free sequence extended by the term ``b``, or
+    None when the extension is not free.
 
-    Every maximal front/back split must leave a nonzero product of the
-    front terms and the complements of the back terms; the other splits
-    are dominated by these.
+    The split cells of a_0..a_{k-1} inside ``full`` are the k+1 products
+    D_beta = a_0 & ... & a_{beta-1} & ~a_beta & ... & ~a_{k-1}; the sequence
+    is free exactly when every one of them is nonzero (the other front/back
+    splits are dominated by these).  Appending b puts b at the back of every
+    split and opens one more, so the new cells are
+    ``[D_0 & ~b, ..., D_k & ~b, D_k & b]``.  The empty sequence has the one
+    cell ``(full,)``.
     """
-    k = len(masks)
-    suffix = [full] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] & (masks[i] ^ full)
-    prefix = full
-    for beta in range(k + 1):
-        if prefix & suffix[beta] == 0:
+    last = cells[-1] & b
+    if not last:
+        return None
+    out = []
+    for d in cells:
+        d &= ~b
+        if not d:
+            return None
+        out.append(d)
+    out.append(last)
+    return tuple(out)
+
+
+def is_free(masks, full: int) -> bool:
+    """Whether the sequence of sets ``masks`` inside ``full`` is free: the
+    fold of ``extend_cells`` from the empty sequence's cell ``(full,)``.
+    """
+    if not full:
+        return False
+    cells = (full,)
+    for b in masks:
+        cells = extend_cells(cells, b)
+        if cells is None:
             return False
-        if beta < k:
-            prefix &= masks[beta]
     return True

@@ -4,6 +4,12 @@ Elements are truth tables over the 2^s assignments, stored as ints (bit a
 of the table is the value at assignment a).  Ultrafilters correspond to
 assignments; the support of an assignment is the set of generators it
 sends to 1.
+
+Generator i is true at the assignments a with bit i set: with h = 2^i its
+table is blocks of h zeros and h ones, repeated 2^s / 2h times, so it is
+the one block ``((1 << h) - 1) << h`` times the repunit
+``table_mask // ((1 << 2h) - 1)`` (bit 2h*j set for each block j).  A basic
+clopen set is the AND of generator tables and their complements.
 """
 
 from __future__ import annotations
@@ -52,14 +58,14 @@ class FreeAlgebra:
     def one(self) -> "FreeElement":
         return FreeElement(self, self.table_mask)
 
+    def _generator_table(self, i: int) -> int:
+        h = 1 << i
+        return (((1 << h) - 1) << h) * (self.table_mask // ((1 << 2 * h) - 1))
+
     def generator(self, i: int) -> "FreeElement":
         if not 0 <= i < self.generator_count:
             raise ValidationError(f"generator index {i} out of range")
-        table = 0
-        for a in range(1 << self.generator_count):
-            if a >> i & 1:
-                table |= 1 << a
-        return FreeElement(self, table)
+        return FreeElement(self, self._generator_table(i))
 
     def basic_clopen(self, sigma, tau) -> "FreeElement":
         """Conjunction of the generators in sigma and the negations of tau.
@@ -73,10 +79,11 @@ class FreeAlgebra:
         for i in sset | tset:
             if not 0 <= i < self.generator_count:
                 raise ValidationError(f"generator index {i} out of range")
-        table = 0
-        for a in range(1 << self.generator_count):
-            if all(a >> i & 1 for i in sset) and not any(a >> i & 1 for i in tset):
-                table |= 1 << a
+        table = self.table_mask
+        for i in sset:
+            table &= self._generator_table(i)
+        for i in tset:
+            table &= ~self._generator_table(i)
         return FreeElement(self, table)
 
 

@@ -1,10 +1,19 @@
 """Free sequences in finite Boolean algebras.
 
 A sequence (a_0, ..., a_{k-1}) is free when every front/back split has a
-nonzero product of front terms and back complements.  The reduced check
-only tests the k+1 maximal splits: products shrink as the index sets grow,
-so an arbitrary pair (S, T) with S wholly below T dominates the maximal
-split at max(S)+1.  The naive all-pairs check is kept as an oracle.
+nonzero product of front terms and back complements.  Only the k+1 maximal
+splits matter: products shrink as the index sets grow, so an arbitrary pair
+(S, T) with S wholly below T dominates the maximal split at max(S)+1.  The
+naive all-pairs check is kept as an oracle.
+
+The maximal splits give the split cells D_beta = a_0 & ... & a_{beta-1} &
+~a_beta & ... & ~a_{k-1}, pairwise disjoint, and the invariant of every
+search here is that a free sequence carries its cells, all nonzero.
+Appending b keeps the sequence free exactly when every D_beta & ~b and
+D_k & b are nonzero, and those are the new cells (``bits.extend_cells``).
+So the searches extend cells down the tree instead of checking each
+sequence from scratch, and find all the terms that extend a node at once:
+term i extends it when it meets D_k and contains no D_beta.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra
-from .bits import is_free
+from .bits import extend_cells, is_free, iter_bits, transpose
 from .combinators import PointedSystem
 from .errors import CapExceededError, ValidationError
 from .trees import FiniteForest, sigma_system
@@ -98,15 +107,81 @@ def _default_pool(algebra: FiniteBooleanAlgebra):
     ]
 
 
+def _extensions(terms, full: int):
+    """A function from the split cells of a free sequence over ``terms`` to
+    the mask of the indices i such that appending ``terms[i]`` keeps it free.
+
+    That is ``meets[D_k] & AND(misses[D_beta])``, where ``meets[c]`` holds
+    the terms meeting the cell c and ``misses[c]`` the terms not containing
+    it.  Both are filled per cell on first use, from the atom columns of the
+    terms; the same cells recur all over a search.
+    """
+    holders = transpose(terms, full.bit_length())  # holders[e]: the i with e in terms[i]
+    everything = (1 << len(terms)) - 1
+    meets: dict[int, int] = {}
+    misses: dict[int, int] = {}
+
+    def extensions(cells) -> int:
+        last = cells[-1]
+        fit = meets.get(last)
+        if fit is None:
+            fit = 0
+            for e in iter_bits(last):
+                fit |= holders[e]
+            meets[last] = fit
+        for d in cells:
+            miss = misses.get(d)
+            if miss is None:
+                inside = everything
+                for e in iter_bits(d):
+                    inside &= holders[e]
+                miss = misses[d] = everything ^ inside
+            fit &= miss
+            if not fit:
+                break
+        return fit
+
+    return extensions
+
+
+def _free_sequences(terms, full: int, limit: int):
+    """Every free sequence of terms from ``terms`` of length at most
+    ``limit``, as a tuple of indices, in preorder: a sequence, then its
+    extensions by increasing index, each followed by its own.
+
+    An explicit stack of (sequence, cells, extensions not yet visited), so
+    no recursion depth grows with the input.
+    """
+    extensions = _extensions(terms, full)
+    yield ()
+    if limit <= 0:
+        return
+    stack = [((), (full,), extensions((full,)))]
+    while stack:
+        node, cells, todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        stack[-1] = (node, cells, todo ^ low)
+        i = low.bit_length() - 1
+        child = node + (i,)
+        yield child
+        if len(child) < limit:
+            child_cells = extend_cells(cells, terms[i])
+            stack.append((child, child_cells, extensions(child_cells)))
+
+
 def longest_free_sequence(algebra: FiniteBooleanAlgebra,
                           pool: Optional[Sequence[Element]] = None,
                           stop_at_bound: bool = True) -> FreeSequence:
     """Maximum-length free sequence over the pool, by exhaustive DFS.
 
     Candidates are tried in popcount-descending order (earlier terms must
-    stay jointly large).  A free sequence of length k yields k+1 pairwise
-    disjoint nonzero split cells, so k <= atom_count - 1; with
-    ``stop_at_bound`` the search stops as soon as that bound is attained.
+    stay jointly large), and the first longest sequence in that order is
+    returned.  A free sequence of length k yields k+1 pairwise disjoint
+    nonzero split cells, so k <= atom_count - 1; with ``stop_at_bound`` the
+    search stops as soon as that bound is attained.
     """
     if pool is None:
         pool = _default_pool(algebra)
@@ -116,29 +191,14 @@ def longest_free_sequence(algebra: FiniteBooleanAlgebra,
     candidates = sorted(
         {e.bits for e in pool}, key=lambda m: (-m.bit_count(), m)
     )
-    n = algebra.atom_count
-    full = algebra.full_mask
-    bound = min(n - 1, len(candidates))
-    best: list[int] = []
-    current: list[int] = []
-
-    def search():
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
+    bound = min(algebra.atom_count - 1, len(candidates))
+    best: tuple[int, ...] = ()
+    for node in _free_sequences(candidates, algebra.full_mask, len(candidates)):
+        if len(node) > len(best):
+            best = node
         if stop_at_bound and len(best) >= bound:
-            return True
-        for c in candidates:
-            if c in current:
-                continue
-            current.append(c)
-            if is_free(current, full) and search():
-                return True
-            current.pop()
-        return False
-
-    search()
-    return FreeSequence(algebra, tuple(Element(algebra, m) for m in best))
+            break
+    return FreeSequence(algebra, tuple(Element(algebra, candidates[i]) for i in best))
 
 
 def longest_free_point_sequence(algebra: FiniteBooleanAlgebra) -> int:
@@ -185,7 +245,14 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
                depth_bound: Optional[int] = None,
                node_cap: int = DEFAULT_NODE_CAP,
                labels=None) -> SigmaTree:
-    """Build the tree of all free sequences with terms from the pool."""
+    """Build the tree of all free sequences with terms from the pool.
+
+    Nodes come in preorder, children by increasing pool index.  Each node
+    carries its split cells, all nonzero; a child's cells are its parent's
+    cells minus the new term, plus the parent's last cell inside it, and
+    the children of a node are exactly the terms that meet its last cell
+    and contain none of its cells.
+    """
     pool = list(pool)
     _check_terms(algebra, pool)
     if labels is None:
@@ -199,23 +266,12 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
             bits.append(e.bits)
             kept_labels.append(lab)
     labels = kept_labels
-    full = algebra.full_mask
     limit = depth_bound if depth_bound is not None else algebra.atom_count - 1
     nodes: list[tuple[int, ...]] = []
-
-    def grow(node: tuple[int, ...], masks: list[int]):
+    for node in _free_sequences(bits, algebra.full_mask, limit):
         if len(nodes) >= node_cap:
             raise CapExceededError(f"sigma tree exceeds {node_cap} nodes")
         nodes.append(node)
-        if len(node) >= limit:
-            return
-        for i, b in enumerate(bits):
-            masks.append(b)
-            if is_free(masks, full):
-                grow(node + (i,), masks)
-            masks.pop()
-
-    grow((), [])
     return SigmaTree(algebra, tuple(labels), tuple(bits), tuple(nodes), depth_bound)
 
 

@@ -307,3 +307,50 @@ def point_sequence_is_free_by_closure(algebra, atoms) -> bool:
         if front & back:
             return False
     return True
+
+
+def clopen_table_by_assignments(generator_count: int, sigma, tau) -> int:
+    """Truth table of the conjunction of the generators in sigma and the
+    negations of those in tau, by evaluating it at every assignment.
+    Generator i alone is ``sigma = {i}``, ``tau = {}``."""
+    table = 0
+    for a in range(1 << generator_count):
+        if all(a >> i & 1 for i in sigma) and not any(a >> i & 1 for i in tau):
+            table |= 1 << a
+    return table
+
+
+def sigma_tree_by_enumeration(full: int, pool_bits, limit: int):
+    """Nodes of the free-sequence tree over a pool, from the definitions.
+
+    Equal pool entries are merged (first occurrence kept).  Every injective
+    tuple of pool indices of length at most ``limit`` is kept when each pair
+    of index sets S, T with every position of S before every position of T
+    has a nonzero product of the S terms and the T complements; the kept
+    tuples are sorted, which is preorder with children by increasing index.
+    """
+    terms = list(dict.fromkeys(pool_bits))
+    tuples = [
+        seq for length in range(max(limit, 0) + 1)
+        for seq in permutations(range(len(terms)), length)
+    ]
+    return tuple(sorted(seq for seq in tuples
+                        if _free_by_all_pairs(full, [terms[i] for i in seq])))
+
+
+def _free_by_all_pairs(full: int, masks) -> bool:
+    k = len(masks)
+    for s in range(1 << k):
+        front = full
+        for i in range(k):
+            if s >> i & 1:
+                front &= masks[i]
+        above = s.bit_length()  # T may use only the positions after max(S)
+        for t in range(1 << (k - above)):
+            prod = front
+            for j in range(k - above):
+                if t >> j & 1:
+                    prod &= full ^ masks[above + j]
+            if prod == 0:
+                return False
+    return True

@@ -4,10 +4,13 @@ keeps the oracles independent of the kernels they check."""
 import ast
 from pathlib import Path
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from stonelab import FiniteBooleanAlgebra, is_free_sequence_naive
 from stonelab.bits import (
+    extend_cells,
     is_free,
     iter_bits,
     set_label,
@@ -92,6 +95,45 @@ def test_is_free(case):
     assert is_free(terms, algebra.full_mask) == is_free_sequence_naive(
         algebra, [algebra.element(t) for t in terms]
     )
+
+
+def _is_free_reference(masks, full):
+    """``is_free`` before the cell fold: every maximal split from a suffix
+    array rebuilt for the whole sequence."""
+    k = len(masks)
+    suffix = [full] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] & (masks[i] ^ full)
+    prefix = full
+    for beta in range(k + 1):
+        if prefix & suffix[beta] == 0:
+            return False
+        if beta < k:
+            prefix &= masks[beta]
+    return True
+
+
+def test_extend_cells_against_reference():
+    # the 10^4 random sequences of test_freeseq's naive comparison
+    rng = random.Random(2718)
+    for _ in range(10_000):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        terms = [rng.randrange(1 << n) for _ in range(rng.randint(5, 12))]
+        cells = (full,)
+        for k, b in enumerate(terms, 1):
+            cells = extend_cells(cells, b)
+            assert (cells is not None) == _is_free_reference(terms[:k], full)
+            if cells is None:
+                break
+            front = [full] + [full & a for a in terms[:k]]
+            for j in range(1, k + 1):
+                front[j] &= front[j - 1]
+            back = [full ^ a for a in terms[:k]] + [full]
+            for j in range(k - 1, -1, -1):
+                back[j] &= back[j + 1]
+            assert cells == tuple(f & t for f, t in zip(front, back))
+        assert is_free(terms, full) == _is_free_reference(terms, full)
 
 
 def test_oracles_stay_off_the_kernels():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from stonelab import (
     dense_small_support_check,
     min_support_ultrafilter,
 )
+from stonelab.oracles import clopen_table_by_assignments
 
 
 class TestBasicClopen:
@@ -128,3 +130,30 @@ def test_validation():
         FreeAlgebra(17)
     with pytest.raises(ValidationError):
         FreeAlgebra(3).generator(3)
+
+
+class TestTablesAgainstAssignments:
+    def test_every_generator(self):
+        for s in range(1, 13):
+            F = FreeAlgebra(s)
+            for i in range(s):
+                assert F.generator(i).table == clopen_table_by_assignments(s, {i}, set())
+
+    def test_every_disjoint_pair_small(self):
+        for s in range(1, 6):
+            F = FreeAlgebra(s)
+            for marks in itertools.product((0, 1, 2), repeat=s):
+                sigma = {i for i, v in enumerate(marks) if v == 1}
+                tau = {i for i, v in enumerate(marks) if v == 2}
+                expected = clopen_table_by_assignments(s, sigma, tau)
+                assert F.basic_clopen(sigma, tau).table == expected
+
+    def test_seeded_pairs(self):
+        rng = random.Random(1212)
+        for _ in range(200):
+            s = rng.randint(1, 12)
+            marks = [rng.randrange(3) for _ in range(s)]
+            sigma = [i for i, v in enumerate(marks) if v == 1]
+            tau = [i for i, v in enumerate(marks) if v == 2]
+            expected = clopen_table_by_assignments(s, sigma, tau)
+            assert FreeAlgebra(s).basic_clopen(sigma, tau).table == expected

@@ -15,7 +15,7 @@ from stonelab import (
     sigma_tree,
 )
 from stonelab.families import order_profile
-from stonelab.oracles import point_sequence_is_free_by_closure
+from stonelab.oracles import point_sequence_is_free_by_closure, sigma_tree_by_enumeration
 
 
 def chain_tails(B):
@@ -197,3 +197,92 @@ class TestSigmaTree:
         B = FiniteBooleanAlgebra(4)
         tree = sigma_tree(B, chain_tails(B), depth_bound=1)
         assert tree.height() == 2
+
+
+def _longest_reference(algebra, pool, stop_at_bound=True):
+    """``longest_free_sequence`` as it was before the cell search: recursive
+    DFS checking every candidate sequence from scratch (the maximal-split
+    check inlined)."""
+    candidates = sorted({e.bits for e in pool}, key=lambda m: (-m.bit_count(), m))
+    full = algebra.full_mask
+    bound = min(algebra.atom_count - 1, len(candidates))
+    best, current = [], []
+
+    def free(masks):
+        k = len(masks)
+        suffix = [full] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] & (masks[i] ^ full)
+        prefix = full
+        for beta in range(k + 1):
+            if prefix & suffix[beta] == 0:
+                return False
+            if beta < k:
+                prefix &= masks[beta]
+        return True
+
+    def search():
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if stop_at_bound and len(best) >= bound:
+            return True
+        for c in candidates:
+            if c in current:
+                continue
+            current.append(c)
+            if free(current) and search():
+                return True
+            current.pop()
+        return False
+
+    search()
+    return best
+
+
+class TestCellSearch:
+    def test_longest_matches_reference(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            B = FiniteBooleanAlgebra(n)
+            pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 8))]
+            for stop in (True, False):
+                got = longest_free_sequence(B, pool=pool, stop_at_bound=stop)
+                assert [t.bits for t in got.terms] == _longest_reference(B, pool, stop)
+
+    def test_long_chain_without_recursion(self):
+        B = FiniteBooleanAlgebra(1024, cap=1024)
+        pool = [B.element(B.full_mask >> i << i) for i in range(1, 1024)]
+        best = longest_free_sequence(B, pool=pool)
+        assert best.length == 1023
+        assert [t.bits for t in best.terms] == [e.bits for e in pool]
+
+    def test_sigma_tree_every_three_atom_pool(self):
+        B = FiniteBooleanAlgebra(3)
+        elements = [B.element(m) for m in range(1, B.full_mask)]
+        for choice in range(1 << len(elements)):
+            pool = [e for j, e in enumerate(elements) if choice >> j & 1]
+            expected = sigma_tree_by_enumeration(B.full_mask, [e.bits for e in pool], 2)
+            assert sigma_tree(B, pool).nodes == expected
+
+    def test_sigma_tree_seeded_pools(self):
+        rng = random.Random(1717)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            B = FiniteBooleanAlgebra(n)
+            pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 6))]
+            pool += rng.sample(pool, min(len(pool), 2)) + [B.zero, B.one][:rng.randint(0, 2)]
+            rng.shuffle(pool)
+            depth_bound = rng.choice([None, 0, 1, 2])
+            limit = n - 1 if depth_bound is None else depth_bound
+            expected = sigma_tree_by_enumeration(B.full_mask, [e.bits for e in pool], limit)
+            assert sigma_tree(B, pool, depth_bound=depth_bound).nodes == expected
+
+    def test_node_cap_boundary(self):
+        B = FiniteBooleanAlgebra(4)
+        pool = [B.element(m) for m in range(1, B.full_mask)]
+        size = sigma_tree(B, pool).size
+        assert sigma_tree(B, pool, node_cap=size).size == size
+        with pytest.raises(CapExceededError, match=f"^sigma tree exceeds {size - 1} nodes$"):
+            sigma_tree(B, pool, node_cap=size - 1)
