@@ -10,32 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import iter_bits, signature_classes, transpose
-from .errors import AlgebraMismatchError, CapExceededError, ValidationError
-
-DEFAULT_ATOM_CAP = 64
-MAX_ATOM_CAP = 1024
+from .errors import ATOMS, ELEMENTS, AlgebraMismatchError, ValidationError
 
 
 class FiniteBooleanAlgebra:
     """Powerset algebra over ``atom_count`` atoms.
 
-    ``cap`` bounds the atom count (default 64, hard maximum 1024); the
-    enumerative callers are the real bottleneck, not element width.
+    ``cap`` bounds the atom count (see ``errors.ATOMS``); the enumerative
+    callers are the real bottleneck, not element width.
     """
 
     __slots__ = ("atom_count", "full_mask")
 
-    def __init__(self, atom_count: int, cap: int = DEFAULT_ATOM_CAP):
+    def __init__(self, atom_count: int, cap: int = ATOMS.default):
         if not isinstance(atom_count, int) or isinstance(atom_count, bool):
             raise ValidationError("atom_count must be an integer")
         if atom_count < 1:
             raise ValidationError("atom_count must be >= 1")
-        if cap > MAX_ATOM_CAP:
-            raise ValidationError(f"cap may not exceed {MAX_ATOM_CAP}")
-        if atom_count > cap:
-            raise CapExceededError(
-                f"atom_count {atom_count} exceeds cap {cap}"
-            )
+        if cap > ATOMS.maximum:
+            raise ValidationError(f"cap may not exceed {ATOMS.maximum}")
+        ATOMS.check(atom_count, cap)
         self.atom_count = atom_count
         self.full_mask = (1 << atom_count) - 1
 
@@ -80,10 +74,7 @@ class FiniteBooleanAlgebra:
 
     def elements(self):
         """Iterate all 2^n elements; refuses to run for large algebras."""
-        if self.atom_count > 20:
-            raise CapExceededError(
-                f"enumerating 2^{self.atom_count} elements is not supported"
-            )
+        ELEMENTS.check(self.atom_count)
         for mask in range(1 << self.atom_count):
             yield Element(self, mask)
 

@@ -22,7 +22,6 @@ from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra, generates_whole
 from .bits import iter_bits
 from .combinators import (
-    DEFAULT_PRODUCT_CAP,
     PointedSystem,
     PorcupineSpec,
     alexandrov_duplication,
@@ -31,6 +30,11 @@ from .combinators import (
     sum_with_point,
 )
 from .errors import (
+    CAPS,
+    POSET_POINTS,
+    SEMILATTICE_POINTS,
+    SYSTEM_POINTS,
+    TREE_NODES,
     CapExceededError,
     OracleMismatchError,
     StonelabError,
@@ -52,11 +56,8 @@ from .freeseq import (
     longest_free_sequence,
 )
 from .orders import (
-    DEFAULT_POSET_CAP,
     FinitePoset,
     MeetSemilattice,
-    _check_semilattice_size,
-    check_poset_size,
     discrete_witness,
     filters,
     final_segments,
@@ -196,13 +197,12 @@ POOLS = {
 }
 
 
-def build_structure(data: dict, takes: Takes, atom_cap: int = 64,
-                    poset_cap: int = DEFAULT_POSET_CAP):
+def build_structure(data: dict, takes: Takes, atom_cap: int, poset_cap: int):
     """The structure a description names, read as ``takes`` says.  A kind
     the target does not take is refused before anything is built; field
     types are checked here, so malformed input ends in a ValidationError,
-    never a stray TypeError.  A poset or semilattice above ``poset_cap``
-    is refused unbuilt too, since building an n-point order costs O(n^2).
+    never a stray TypeError.  A poset, semilattice or tree above its cap
+    is refused unbuilt too, since building one of n points costs O(n^2).
     """
     kind = data["kind"]
     if kind not in takes.kinds:
@@ -212,14 +212,14 @@ def build_structure(data: dict, takes: Takes, atom_cap: int = 64,
     if kind == "chain":
         n = _integer(data, "chain", "n")
         if takes.chain == "elements":
-            check_poset_size(n, poset_cap)
+            POSET_POINTS.check(n, poset_cap)
             return FinitePoset.chain(n)
         # n atoms, or n read as the n points of a pool: capped before either is built
         algebra = FiniteBooleanAlgebra(n, cap=atom_cap)
         return algebra if takes.chain == "atoms" else n
     if kind == "poset":
         size = _integer(data, "poset", "size")
-        check_poset_size(size, poset_cap)
+        POSET_POINTS.check(size, poset_cap)
         le = data.get("le", [])
         if not isinstance(le, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in le
@@ -232,12 +232,13 @@ def build_structure(data: dict, takes: Takes, atom_cap: int = 64,
             isinstance(row, list) and all(map(_is_int, row)) for row in table
         ):
             raise ValidationError("semilattice needs a 'meet' table: a list of integer rows")
-        _check_semilattice_size(len(table), poset_cap)
+        SEMILATTICE_POINTS.check(len(table), poset_cap)
         return MeetSemilattice(table)
     if kind == "tree":
         parents = data.get("parents")
         if not isinstance(parents, list):
             raise ValidationError("tree needs a 'parents' list")
+        TREE_NODES.check(len(parents))
         return FiniteForest(parents)
     if kind == "free":
         return FreeAlgebra(_integer(data, "free algebra", "generators", "s"))
@@ -246,8 +247,7 @@ def build_structure(data: dict, takes: Takes, atom_cap: int = 64,
 
 def system_from_json(data: dict) -> PointedSystem:
     size = _integer(data, "system", "points")
-    if size > DEFAULT_PRODUCT_CAP:  # checked before any mask of that width exists
-        raise CapExceededError(f"system has {size} points, cap is {DEFAULT_PRODUCT_CAP}")
+    SYSTEM_POINTS.check(size)  # before any mask of that width exists
     labels = data.get("labels")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
@@ -315,24 +315,25 @@ def _indices(mask: int) -> list[int]:
     return list(compress(range(len(flags)), flags))
 
 
-def _env_cap(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+# a row per knob; the rows that share a flag share its variable and bounds
+_KNOBS = {cap.flag: cap for cap in CAPS if cap.flag}
 
 
-def cap_atoms(args) -> int:
-    flag = getattr(args, "cap_atoms", None)
-    return flag if flag is not None else _env_cap("STONELAB_CAP_ATOMS", 64)
-
-
-def cap_enum(args) -> int:
-    flag = getattr(args, "cap_enum", None)
-    return flag if flag is not None else _env_cap("STONELAB_CAP_ENUM", 20)
+def _set_knobs(args) -> None:
+    """Settle each cap knob once: the flag, else the environment variable,
+    else the default; a command that does not register the flag takes the
+    default.  A value set must lie in 1..maximum."""
+    for flag, cap in _KNOBS.items():
+        dest = flag[2:].replace("-", "_")
+        value, source = getattr(args, dest, None), flag
+        if value is None and hasattr(args, dest) and os.environ.get(cap.env):
+            value, source = _flag_int(os.environ[cap.env], cap.env), cap.env
+        if value is None:
+            value = cap.default
+        elif value < 1 or cap.maximum is not None and value > cap.maximum:
+            bound = "at least 1" if cap.maximum is None else f"in 1..{cap.maximum}"
+            raise ValidationError(f"{source} must be {bound}, got {value}")
+        setattr(args, dest, value)
 
 
 # ------------------------------------------------------------------- reports
@@ -430,7 +431,7 @@ def _family_payload(family: SeparatingFamily) -> dict:
 
 def _selection(args, structure):
     pool = _pool(structure, args.pool or ("intervals" if isinstance(structure, int) else "free"))
-    algebra = FiniteBooleanAlgebra(pool.points.size, cap=cap_atoms(args))
+    algebra = FiniteBooleanAlgebra(pool.points.size, cap=args.cap_atoms)
     elements = [algebra.element(m.bits) for m in pool.candidates]
     value, witness = selection_value(algebra, elements)
     family = SeparatingFamily(pool.points, pool.candidates)
@@ -448,7 +449,7 @@ def _selection(args, structure):
 
 
 def _duality(args, poset):
-    lattice = final_segments(poset, cap=cap_enum(args))
+    lattice = final_segments(poset, cap=args.cap_enum)
     system = poset_system(lattice)
     primes = prime_clopen_filters(lattice)
     witnesses = [discrete_witness(poset, p) for p in range(poset.size)]
@@ -473,7 +474,7 @@ def _duality(args, poset):
 
 
 def _modest(args, structure):
-    lattice = filters(structure, cap=cap_enum(args))
+    lattice = filters(structure, cap=args.cap_enum)
     system = semilattice_system(lattice)
     analysis_report = modest_analysis(lattice)
     labels = lattice.labels
@@ -571,7 +572,7 @@ def cmd_analyze(args) -> int:
     data = load_structure(args)
     run, takes = ANALYSES[args.analysis]
     structure = build_structure(data, takes.get(args.pool, takes[None]),
-                                cap_atoms(args), cap_enum(args))
+                                args.cap_atoms, args.cap_enum)
     results, notes = run(args, structure)
     emit(args, report(data, args.analysis, results, notes))
     return 0
@@ -679,7 +680,7 @@ def _pool(structure, preset: str) -> GeneratorPool:
 
 def cmd_solve(args) -> int:
     data = load_structure(args)
-    structure = build_structure(data, POOLS[args.pool], cap_atoms(args))
+    structure = build_structure(data, POOLS[args.pool], args.cap_atoms, args.cap_enum)
     pool = _pool(structure, args.pool)
     result = min_max_order(pool, mode=args.mode)
     results = {
@@ -706,7 +707,8 @@ _COMBINE = Takes(("system",), "n", partial(_refuse, "combine takes system files 
 
 
 def cmd_combine(args) -> int:
-    systems = [build_structure(read_structure(path), _COMBINE) for path in args.inputs]
+    systems = [build_structure(read_structure(path), _COMBINE, args.cap_atoms, args.cap_enum)
+               for path in args.inputs]
     extra = None
     if args.op == "product":
         if len(systems) != 2:
@@ -757,11 +759,11 @@ _DOT = Takes(("poset", "chain", "semilattice", "tree", "system"), "elements",
 
 
 def cmd_export_dot(args) -> int:
-    structure = build_structure(load_structure(args), _DOT, poset_cap=cap_enum(args))
+    structure = build_structure(load_structure(args), _DOT, args.cap_atoms, args.cap_enum)
     if isinstance(structure, FinitePoset):
-        text = dotmod.hasse_dot(final_segments(structure, cap=cap_enum(args)), name="segments")
+        text = dotmod.hasse_dot(final_segments(structure, cap=args.cap_enum), name="segments")
     elif isinstance(structure, MeetSemilattice):
-        text = dotmod.hasse_dot(filters(structure, cap=cap_enum(args)), name="filters")
+        text = dotmod.hasse_dot(filters(structure, cap=args.cap_enum), name="filters")
     elif isinstance(structure, FiniteForest):
         if args.view == "structure":
             text = dotmod.forest_dot(structure)
@@ -778,7 +780,9 @@ def cmd_export_dot(args) -> int:
 def cmd_selftest(args) -> int:
     from . import oracles
 
-    seed = args.seed if args.seed is not None else _env_cap("STONELAB_SEED", 0)
+    seed = args.seed
+    if seed is None:
+        seed = _flag_int(os.environ.get("STONELAB_SEED") or "0", "STONELAB_SEED")
     rng = random.Random(seed)
     failures = []
 
@@ -867,8 +871,10 @@ _FLAGS = {
     "--meet": dict(help="semilattice meet table, rows ; separated"),
     "--out": dict(help="write the report here instead of stdout"),
     "--human": dict(action="store_true", help="table view instead of JSON"),
-    "--cap-atoms": dict(type=int, help="atom-count cap (env STONELAB_CAP_ATOMS)"),
-    "--cap-enum": dict(type=int, help="segment/filter enumeration cap (env STONELAB_CAP_ENUM)"),
+    **{flag: dict(type=int, help="cap on {} (default {}{}; env {})".format(
+        " and ".join(c.name for c in CAPS if c.flag == flag), cap.default,
+        "" if cap.maximum is None else f", at most {cap.maximum}", cap.env))
+       for flag, cap in _KNOBS.items()},
     "--pool": dict(choices=list(POOLS), type=lambda name: "free" if name == "all" else name,
                    help="pool preset (all = free)"),
 }
@@ -940,6 +946,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _set_knobs(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except ValidationError as exc:

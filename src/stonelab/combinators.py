@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bits import iter_bits, transpose
-from .errors import CapExceededError, LintWarning, ValidationError
+from .errors import PRODUCT_POINTS, LintWarning, ValidationError
 from .families import Member, PointSet, SeparatingFamily, is_t0_separating
-
-DEFAULT_PRODUCT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,14 @@ def _warn_if_not_t0(system: PointedSystem, role: str):
 
 
 def product_system(s1: PointedSystem, s2: PointedSystem,
-                   cap: int = DEFAULT_PRODUCT_CAP) -> PointedSystem:
+                   cap: int = PRODUCT_POINTS.default) -> PointedSystem:
     """Cartesian product; members lift through the two projections.
 
     Point (x, y) gets index x * |S2| + y, and its order is the sum of the
     factor orders.
     """
     n1, n2 = s1.size, s2.size
-    if n1 * n2 > cap:
-        raise CapExceededError(f"product would have {n1 * n2} points, cap is {cap}")
+    PRODUCT_POINTS.check(n1 * n2, cap)
     _warn_if_not_t0(s1, "left")
     _warn_if_not_t0(s2, "right")
     labels = tuple(

@@ -4,7 +4,8 @@ A sequence (a_0, ..., a_{k-1}) is free when every front/back split has a
 nonzero product of front terms and back complements.  Only the k+1 maximal
 splits matter: products shrink as the index sets grow, so an arbitrary pair
 (S, T) with S wholly below T dominates the maximal split at max(S)+1.  The
-naive all-pairs check is kept as an oracle.
+naive all-pairs check is an oracle, ``oracles.is_free_sequence_naive``,
+re-exported here.
 
 The maximal splits give the split cells D_beta = a_0 & ... & a_{beta-1} &
 ~a_beta & ... & ~a_{k-1}, pairwise disjoint, and the invariant of every
@@ -19,17 +20,17 @@ term i extends it when it meets D_k and contains no D_beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra
 from .bits import extend_cells, is_free, iter_bits, transpose
 from .combinators import PointedSystem
-from .errors import CapExceededError, ValidationError
+from .errors import SIGMA_NODES, ValidationError
+from .oracles import is_free_sequence_naive  # re-exported
 from .trees import FiniteForest, sigma_system
 
-NAIVE_LENGTH_CAP = 12
 DEFAULT_POOL_ATOM_CAP = 5
-DEFAULT_NODE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,46 +54,6 @@ def is_free_sequence(algebra: FiniteBooleanAlgebra, terms: Sequence[Element]) ->
     definition (asserted against the naive oracle in tests)."""
     _check_terms(algebra, terms)
     return is_free([t.bits for t in terms], algebra.full_mask)
-
-
-def is_free_sequence_naive(algebra: FiniteBooleanAlgebra, terms: Sequence[Element],
-                           cap: int = NAIVE_LENGTH_CAP) -> bool:
-    """Literal definition: every pair of finite sets S, T with each element
-    of S below each element of T gives a nonzero split product.  Empty S
-    and T are included.  Exponential; test oracle only."""
-    _check_terms(algebra, terms)
-    k = len(terms)
-    if k > cap:
-        raise CapExceededError(f"naive check capped at length {cap}")
-    masks = [t.bits for t in terms]
-    full = algebra.full_mask
-    for s_mask in range(1 << k):
-        prod_s = full
-        for i in range(k):
-            if s_mask >> i & 1:
-                prod_s &= masks[i]
-        # T ranges over subsets strictly above max(S); empty S allows any T
-        positions = range(s_mask.bit_length(), k)
-        for t_mask in _submasks(positions):
-            prod = prod_s
-            tm = t_mask
-            while tm:
-                low = tm & -tm
-                prod &= masks[low.bit_length() - 1] ^ full
-                tm ^= low
-            if prod == 0:
-                return False
-    return True
-
-
-def _submasks(positions):
-    pos = list(positions)
-    for choice in range(1 << len(pos)):
-        mask = 0
-        for idx, p in enumerate(pos):
-            if choice >> idx & 1:
-                mask |= 1 << p
-        yield mask
 
 
 def _default_pool(algebra: FiniteBooleanAlgebra):
@@ -243,7 +204,7 @@ class SigmaTree:
 
 def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
                depth_bound: Optional[int] = None,
-               node_cap: int = DEFAULT_NODE_CAP,
+               node_cap: int = SIGMA_NODES.default,
                labels=None) -> SigmaTree:
     """Build the tree of all free sequences with terms from the pool.
 
@@ -267,11 +228,8 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
             kept_labels.append(lab)
     labels = kept_labels
     limit = depth_bound if depth_bound is not None else algebra.atom_count - 1
-    nodes: list[tuple[int, ...]] = []
-    for node in _free_sequences(bits, algebra.full_mask, limit):
-        if len(nodes) >= node_cap:
-            raise CapExceededError(f"sigma tree exceeds {node_cap} nodes")
-        nodes.append(node)
+    nodes = list(islice(_free_sequences(bits, algebra.full_mask, limit), node_cap + 1))
+    SIGMA_NODES.check(len(nodes), node_cap)
     return SigmaTree(algebra, tuple(labels), tuple(bits), tuple(nodes), depth_bound)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import OracleMismatchError, ValidationError
+from .errors import NAIVE_LENGTH, OracleMismatchError, ValidationError
 from .orders import PrimeFilterInfo
 from .solver import GeneratorPool
 
@@ -336,6 +336,17 @@ def sigma_tree_by_enumeration(full: int, pool_bits, limit: int):
     ]
     return tuple(sorted(seq for seq in tuples
                         if _free_by_all_pairs(full, [terms[i] for i in seq])))
+
+
+def is_free_sequence_naive(algebra, terms, cap: int = NAIVE_LENGTH.default) -> bool:
+    """Literal definition of a free sequence of algebra elements: every
+    pair of finite sets S, T with each element of S below each element of
+    T gives a nonzero split product.  Empty S and T are included.
+    Exponential; test oracle only."""
+    if any(t.algebra != algebra for t in terms):
+        raise ValidationError("algebra mismatch")
+    NAIVE_LENGTH.check(len(terms), cap)
+    return _free_by_all_pairs(algebra.full_mask, [t.bits for t in terms])
 
 
 def _free_by_all_pairs(full: int, masks) -> bool:

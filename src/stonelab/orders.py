@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import iter_bits, supersets, transpose, upper_covers
-from .errors import CapExceededError, OracleMismatchError, ValidationError
+from .errors import (POSET_POINTS, SEMILATTICE_POINTS, UPSETS, CapExceededError,
+                     OracleMismatchError, ValidationError)
 from .families import Member, SeparatingFamily, SetSpace
 from .combinators import PointedSystem
-
-DEFAULT_POSET_CAP = 20
-DEFAULT_SEGMENT_CAP = 1 << 20
 
 
 class FinitePoset:
@@ -123,9 +121,7 @@ def _upset_masks(n: int, up, max_count: int) -> list[int]:
         pos, mask = stack.pop()
         if pos == n:
             if len(results) >= max_count:
-                raise CapExceededError(
-                    f"more than {max_count} up-sets; raise the enumeration cap"
-                )
+                raise CapExceededError(UPSETS, max_count + 1, max_count)
             results.append(mask)
             continue
         e = order[pos]
@@ -144,22 +140,10 @@ class FinalSegmentLattice(SetSpace):
     segments = property(lambda self: self.sets)
 
 
-def check_poset_size(size: int, cap: int) -> None:
-    """Refuse a poset whose final segments would be enumerated above the cap.
-
-    Callers that know the size before building the poset check it first,
-    since building an n-point poset alone costs O(n^2).
-    """
-    if size > cap:
-        raise CapExceededError(
-            f"poset has {size} points (cap {cap}); |FS(P)| could reach 2^{size}"
-        )
-
-
-def final_segments(poset: FinitePoset, cap: int = DEFAULT_POSET_CAP,
-                   max_count: int = DEFAULT_SEGMENT_CAP) -> FinalSegmentLattice:
+def final_segments(poset: FinitePoset, cap: int = POSET_POINTS.default,
+                   max_count: int = UPSETS.default) -> FinalSegmentLattice:
     """Enumerate FS(P).  |FS(P)| can be exponential, hence the caps."""
-    check_poset_size(poset.size, cap)
+    POSET_POINTS.check(poset.size, cap)
     masks = _upset_masks(poset.size, poset.up, max_count)
     masks.sort(key=lambda m: (m.bit_count(), m))
     return FinalSegmentLattice(poset.size, tuple(masks), poset)
@@ -350,20 +334,14 @@ class FilterLattice(SetSpace):
         return self.sets.index(0)
 
 
-def _check_semilattice_size(size: int, cap: int) -> None:
-    """Refuse a semilattice above the cap; the CLI checks a table unbuilt."""
-    if size > cap:
-        raise CapExceededError(f"semilattice has {size} points (cap {cap})")
-
-
-def filters(sl: MeetSemilattice, cap: int = DEFAULT_POSET_CAP) -> FilterLattice:
+def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> FilterLattice:
     """Fil(M): the empty set plus every meet-closed up-set.
 
     A nonempty filter F of a finite meet-semilattice holds the meet a of
     its elements, so F = up(a); each up(a) is a filter.  Fil(M) is thus the
     empty filter plus the principal filters, one per element.
     """
-    _check_semilattice_size(sl.size, cap)
+    SEMILATTICE_POINTS.check(sl.size, cap)
     out = [0, *sl.up]
     out.sort(key=lambda m: (m.bit_count(), m))
     return FilterLattice(sl.size, tuple(out), sl)

@@ -24,7 +24,8 @@ from itertools import islice
 
 from .algebra import FiniteBooleanAlgebra
 from .bits import iter_bits, set_label, signature_classes, transpose
-from .errors import CapExceededError, PoolInsufficientError, ValidationError
+from .errors import (EXACT_CANDIDATES, EXACT_POINTS, FREE_POOL_ATOMS, PoolInsufficientError,
+                     ValidationError)
 from .families import (
     Member,
     PointSet,
@@ -41,9 +42,6 @@ from .orders import (
     filters as semilattice_filters,
 )
 from .trees import FiniteForest, sigma_system
-
-DEFAULT_EXACT_POINT_CAP = 12
-DEFAULT_EXACT_POOL_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,8 @@ def decision_max_order_at_most(pool: GeneratorPool, k: int) -> DecisionResult:
 
 
 def min_max_order(pool: GeneratorPool, mode: str = "exact",
-                  max_points: int = DEFAULT_EXACT_POINT_CAP,
-                  max_pool: int = DEFAULT_EXACT_POOL_CAP) -> SolveResult:
+                  max_points: int = EXACT_POINTS.default,
+                  max_pool: int = EXACT_CANDIDATES.default) -> SolveResult:
     """Minimum achievable maximum order over T0-separating subfamilies.
 
     Greedy mode repeatedly takes the candidate separating the most open
@@ -287,11 +285,8 @@ def min_max_order(pool: GeneratorPool, mode: str = "exact",
     """
     start = time.perf_counter()
     if mode == "exact":
-        if pool.points.size > max_points or pool.size > max_pool:
-            raise CapExceededError(
-                f"exact mode capped at {max_points} points / {max_pool} candidates; "
-                "use greedy mode or raise the caps"
-            )
+        EXACT_POINTS.check(pool.points.size, max_points)
+        EXACT_CANDIDATES.check(pool.size, max_pool)
     elif mode != "greedy":
         raise ValidationError(f"unknown mode {mode!r}")
     kern = pool._kernel
@@ -327,8 +322,7 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
     if kind == "free":
         if not isinstance(structure, FiniteBooleanAlgebra):
             raise ValidationError("free pool needs a FiniteBooleanAlgebra")
-        if structure.atom_count > 12:
-            raise CapExceededError("free pool enumerates all subsets; atoms capped at 12")
+        FREE_POOL_ATOMS.check(structure.atom_count)
         pts = PointSet(structure.atom_count)
         cands = tuple(
             Member(set_label(m), m) for m in range(1 << structure.atom_count)

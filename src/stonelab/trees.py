@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Element, FiniteBooleanAlgebra, SubalgebraPartition, generated_subalgebra
 from .combinators import PointedSystem
-from .errors import ValidationError
+from .errors import ATOMS, ValidationError
 from .families import SetSpace
 
 
@@ -116,7 +116,7 @@ def initial_chain_algebra(forest: FiniteForest) -> ChainAlgebraResult:
     strict-ancestor sets, reported as an atom partition."""
     if forest.size == 0:
         raise ValidationError("initial chain algebra needs at least one node")
-    algebra = FiniteBooleanAlgebra(forest.size, cap=max(64, forest.size))
+    algebra = FiniteBooleanAlgebra(forest.size, cap=ATOMS.maximum)
     gens = tuple(Element(algebra, forest.ancestors[t]) for t in range(forest.size))
     part = generated_subalgebra(algebra, gens)
     return ChainAlgebraResult(algebra, gens, part, part.is_full())

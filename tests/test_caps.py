@@ -1,0 +1,225 @@
+"""The table of caps: each row's refusal, the CLI knobs that set a row's
+limit, and a guard that keeps every cap declared once, in ``errors.py``."""
+
+import ast
+import time
+from pathlib import Path
+
+import pytest
+
+from stonelab import (
+    CapExceededError,
+    FiniteBooleanAlgebra,
+    FiniteForest,
+    FinitePoset,
+    GeneratorPool,
+    Member,
+    MeetSemilattice,
+    PointSet,
+    filters,
+    final_segments,
+    initial_chain_algebra,
+    is_free_sequence_naive,
+    min_max_order,
+    preset_pool,
+    product_system,
+    sigma_tree,
+    singleton_system,
+)
+from stonelab import errors as E
+from stonelab.cli import POOLS, build_parser, build_structure, main, system_from_json
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stonelab"
+
+
+def _pool(points: int, candidates: int) -> GeneratorPool:
+    return GeneratorPool(PointSet(points),
+                         tuple(Member(f"c{i}", 1 << i % points) for i in range(candidates)))
+
+
+def _sigma_tree_past(cap: int):
+    algebra = FiniteBooleanAlgebra(3)
+    return sigma_tree(algebra, [algebra.element(m) for m in range(1, 7)], node_cap=cap)
+
+
+# row -> (a call one past its limit, attempted, limit, the refusal text);
+# rows whose default is costly to reach pass a smaller limit
+CASES = {
+    E.ATOMS: (lambda: FiniteBooleanAlgebra(65), 65, 64, "atom_count 65 exceeds cap 64"),
+    E.ELEMENTS: (lambda: next(FiniteBooleanAlgebra(21).elements()), 21, 20,
+                 "enumerating 2^21 elements is not supported"),
+    E.POSET_POINTS: (lambda: final_segments(FinitePoset.antichain(21)), 21, 20,
+                     "poset has 21 points (cap 20); |FS(P)| could reach 2^21"),
+    E.SEMILATTICE_POINTS: (lambda: filters(MeetSemilattice.chain(21)), 21, 20,
+                           "semilattice has 21 points (cap 20)"),
+    E.UPSETS: (lambda: final_segments(FinitePoset.antichain(3), max_count=7), 8, 7,
+               "more than 7 up-sets, a fixed limit"),
+    E.SYSTEM_POINTS: (lambda: system_from_json({"kind": "system", "points": 4097}), 4097, 4096,
+                      "system has 4097 points, cap is 4096"),
+    E.PRODUCT_POINTS: (lambda: product_system(singleton_system(17), singleton_system(241)),
+                       4097, 4096, "product would have 4097 points, cap is 4096"),
+    E.NAIVE_LENGTH: (lambda: is_free_sequence_naive(FiniteBooleanAlgebra(2),
+                                                    [FiniteBooleanAlgebra(2).element(1)] * 13),
+                     13, 12, "naive check capped at length 12"),
+    E.SIGMA_NODES: (lambda: _sigma_tree_past(3), 4, 3, "sigma tree exceeds 3 nodes"),
+    E.EXACT_POINTS: (lambda: min_max_order(_pool(13, 13)), 13, 12,
+                     "exact mode capped at 12 points, got 13; use greedy mode"),
+    E.EXACT_CANDIDATES: (lambda: min_max_order(_pool(4, 33)), 33, 32,
+                         "exact mode capped at 32 candidates, got 33; use greedy mode"),
+    E.FREE_POOL_ATOMS: (lambda: preset_pool("free", FiniteBooleanAlgebra(13)), 13, 12,
+                        "free pool enumerates all subsets; atoms capped at 12"),
+    E.TREE_NODES: (lambda: build_structure({"kind": "tree", "parents": [-1] + [0] * 1024},
+                                           POOLS["tree"], 64, 20),
+                   1025, 1024, "tree has 1025 nodes (cap 1024)"),
+}
+
+
+def test_every_row_has_a_case():
+    assert set(CASES) == set(E.CAPS)
+    assert len(E.CAPS) == 13
+
+
+@pytest.mark.parametrize("row", E.CAPS, ids=lambda row: row.name)
+def test_one_past_the_limit(row):
+    call, attempted, limit, text = CASES[row]
+    with pytest.raises(CapExceededError) as info:
+        call()
+    exc = info.value
+    assert (exc.cap, exc.attempted, exc.limit) == (row, attempted, limit)
+    assert str(exc) == text
+
+
+@pytest.mark.parametrize("row", E.CAPS, ids=lambda row: row.name)
+def test_at_the_limit_passes(row):
+    row.check(row.default)
+    with pytest.raises(CapExceededError):
+        row.check(row.default + 1)
+
+
+def test_rows_sharing_a_knob_share_its_bounds():
+    assert all((row.flag is None) == (row.env is None) for row in E.CAPS)
+    for flag in {row.flag for row in E.CAPS if row.flag}:
+        assert len({(r.env, r.default, r.maximum) for r in E.CAPS if r.flag == flag}) == 1
+    assert E.TREE_NODES.default == E.ATOMS.maximum
+
+
+class TestKnobs:
+    """``--cap-atoms`` / ``STONELAB_CAP_ATOMS`` and ``--cap-enum`` /
+    ``STONELAB_CAP_ENUM``: the flag wins over the variable, which wins over
+    the row's default."""
+
+    ATOMS = ["analyze", "--kind", "chain", "--n", "70", "--analysis", "selection"]
+    ENUM = ["analyze", "--kind", "poset", "--size", "25", "--analysis", "duality"]
+
+    @pytest.mark.parametrize("argv, env, flag, default, text", [
+        (ATOMS, "STONELAB_CAP_ATOMS", "--cap-atoms", 64, "atom_count 70 exceeds cap {}"),
+        (ENUM, "STONELAB_CAP_ENUM", "--cap-enum", 20,
+         "poset has 25 points (cap {}); |FS(P)| could reach 2^25"),
+    ], ids=["atoms", "enum"])
+    def test_flag_over_env_over_default(self, monkeypatch, capsys, argv, env, flag, default,
+                                        text):
+        def refusal(*extra):
+            assert main([*argv, *extra]) == 2
+            return capsys.readouterr().err
+
+        monkeypatch.delenv(env, raising=False)
+        assert refusal() == f"cap exceeded: {text.format(default)}\n"
+        monkeypatch.setenv(env, "22")
+        assert refusal() == f"cap exceeded: {text.format(22)}\n"
+        assert refusal(flag, "21") == f"cap exceeded: {text.format(21)}\n"
+
+    def test_solve_ignores_enum_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("STONELAB_CAP_ENUM", "30")
+        assert main(["solve", "--kind", "chain", "--n", "25", "--pool", "upsets"]) == 2
+        assert capsys.readouterr().err == \
+            "cap exceeded: poset has 25 points (cap 20); |FS(P)| could reach 2^25\n"
+
+    @pytest.mark.parametrize("env, argv", [
+        ("STONELAB_CAP_ENUM", ["solve", "--kind", "chain", "--n", "3", "--pool", "upsets"]),
+        ("STONELAB_CAP_ATOMS", ["export-dot", "--kind", "chain", "--n", "3"]),
+        ("STONELAB_CAP_ATOMS", ["combine", "--op", "sum", "--inputs",
+                                str(Path(__file__).parent / "golden" / "sys_a.json")]),
+    ])
+    def test_unregistered_knob_is_not_read(self, monkeypatch, capsys, env, argv):
+        monkeypatch.setenv(env, "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--cap-atoms", "5000"], None, "--cap-atoms must be in 1..1024, got 5000"),
+        (["--cap-atoms", "0"], None, "--cap-atoms must be in 1..1024, got 0"),
+        (["--cap-enum", "-1"], None, "--cap-enum must be at least 1, got -1"),
+        ([], ("STONELAB_CAP_ATOMS", "5000"), "STONELAB_CAP_ATOMS must be in 1..1024, got 5000"),
+        ([], ("STONELAB_CAP_ENUM", "0"), "STONELAB_CAP_ENUM must be at least 1, got 0"),
+    ])
+    def test_value_out_of_bounds(self, monkeypatch, capsys, argv, env, message):
+        if env:
+            monkeypatch.setenv(*env)
+        assert main(["analyze", "--kind", "poset", "--size", "3", "--analysis", "duality",
+                     *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_value_at_the_maximum(self, capsys):
+        code = main(["analyze", "--kind", "algebra", "--n", "3", "--analysis", "freeseq",
+                     "--cap-atoms", "1024"])
+        assert code == 0 and capsys.readouterr().err == ""
+
+    def test_help_reads_the_rows(self):
+        sub = build_parser()._subparsers._group_actions[0].choices["analyze"]
+        text = " ".join(sub.format_help().split())
+        for row in (E.ATOMS, E.POSET_POINTS, E.SEMILATTICE_POINTS):
+            assert row.name in text and row.env in text
+        assert "default 64, at most 1024" in text and "default 20;" in text
+
+
+class TestTreeNodes:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--analysis", "sigma"],
+        ["solve", "--pool", "tree", "--mode", "greedy"],
+        ["export-dot"],
+    ])
+    def test_large_tree_refused_unbuilt(self, capsys, argv):
+        parents = ",".join(["-1", *map(str, range(1999))])
+        start = time.perf_counter()
+        code = main([*argv, "--kind", "tree", f"--parents={parents}"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "cap exceeded: tree has 2000 nodes (cap 1024)\n"
+
+    def test_tree_at_the_cap_is_read(self, capsys):
+        parents = ",".join(["-1"] + ["0"] * 1023)
+        assert main(["export-dot", "--kind", "tree", f"--parents={parents}",
+                     "--view", "structure"]) == 0
+        assert capsys.readouterr().out.count(" -> ") == 1023
+
+    def test_initial_chain_algebra_meets_the_atom_row(self):
+        with pytest.raises(CapExceededError) as info:
+            initial_chain_algebra(FiniteForest([None] + [0] * 1024))
+        assert (info.value.cap, info.value.limit) == (E.ATOMS, E.ATOMS.maximum)
+        assert initial_chain_algebra(FiniteForest([None] + [0] * 1023)).algebra.atom_count \
+            == 1024
+
+
+def _cap_constant(name: str) -> bool:
+    return name.endswith("_CAP") or name.startswith("DEFAULT_") and "CAP" in name
+
+
+def test_caps_are_declared_once():
+    """Outside errors.py no module raises a cap error with its own text or
+    declares a cap constant; the two bounds whose refusal is a
+    ValidationError stay in their modules."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "CapExceededError"):
+                first = node.exc.args[0] if node.exc.args else None
+                assert not isinstance(first, (ast.Constant, ast.JoinedStr)), \
+                    f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Assign):
+                found |= {(path.name, t.id) for t in node.targets
+                          if isinstance(t, ast.Name) and _cap_constant(t.id)}
+    assert found == {("freealg.py", "DEFAULT_GENERATOR_CAP"),
+                     ("freeseq.py", "DEFAULT_POOL_ATOM_CAP")}
