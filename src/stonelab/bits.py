@@ -9,6 +9,14 @@ without this module.
 
 from __future__ import annotations
 
+from itertools import compress
+
+# bin() digits to the 0/1 bytes compress() takes as selectors
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# str(i) for i below the widest dense mask written so far; replaced by a
+# longer tuple, never mutated, so a concurrent reader sees a whole table
+_DECIMALS: tuple[str, ...] = ()
+
 
 def iter_bits(mask: int):
     """The indices of the set bits of ``mask``, in increasing order."""
@@ -18,9 +26,42 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _dense_flags(mask: int) -> bytes | None:
+    """Bit i of ``mask`` as byte i (0 or 1), or None for a sparse mask.
+
+    Reading the ``bin()`` text costs one pass over the width, where the bit
+    loop copies the whole int once per set bit; the loop still wins when
+    fewer than one bit in eight is set, as for a lone high bit.
+    """
+    if mask.bit_count() * 8 < mask.bit_length():
+        return None
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+def indices(mask: int) -> list[int]:
+    """``list(iter_bits(mask))``."""
+    flags = _dense_flags(mask)
+    if flags is None:
+        return list(iter_bits(mask))
+    return list(compress(range(len(flags)), flags))
+
+
+def index_text(mask: int, sep: str = ",") -> str:
+    """``sep.join(map(str, iter_bits(mask)))``: the indices of ``mask`` as
+    decimal text, without building an int per index when the mask is dense."""
+    global _DECIMALS
+    flags = _dense_flags(mask)
+    if flags is None:
+        return sep.join(map(str, iter_bits(mask)))
+    decimals = _DECIMALS
+    if len(decimals) < len(flags):
+        decimals = _DECIMALS = decimals + tuple(map(str, range(len(decimals), len(flags))))
+    return sep.join(compress(decimals, flags))
+
+
 def set_label(mask: int) -> str:
     """``{0,2,5}``-style label of a set mask."""
-    return "{" + ",".join(map(str, iter_bits(mask))) + "}"
+    return "{" + index_text(mask) + "}"
 
 
 def transpose(rows, width: int) -> list[int]:

@@ -14,13 +14,12 @@ import os
 import random
 import sys
 from functools import cache, partial
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, NoReturn
 
 from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra, generates_whole
-from .bits import iter_bits
+from .bits import index_text, indices
 from .combinators import (
     PointedSystem,
     PorcupineSpec,
@@ -285,34 +284,24 @@ def _member_mask(member, size: int, i: int) -> int:
     return mask
 
 
+class _Mask(int):
+    """A set of point indices in a report, kept as its mask: it stands for
+    the list of its indices, which ``_json`` writes straight from the bits."""
+
+    __slots__ = ()
+
+
 def system_to_json(system: PointedSystem, extra=None) -> dict:
     data = {
         "kind": "system",
         "points": system.points.size,
         "labels": [system.points.label(i) for i in range(system.points.size)],
-        "members": [
-            {"label": m.label, "set": _indices(m.bits)}
-            for m in system.family.members
-        ],
+        "members": [{"label": m.label, "set": _Mask(m.bits)} for m in system.family.members],
         "base_point": system.base_point,
     }
     if extra:
         data.update(extra)
     return data
-
-
-# bin() digits to the 0/1 bytes compress() takes as selectors
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _indices(mask: int) -> list[int]:
-    """``list(iter_bits(mask))``.  A dense mask is read off its binary text,
-    about four times faster than the bit loop at 576 bits; a sparse one
-    keeps the loop, since the text of a lone high bit is long."""
-    if mask.bit_count() * 8 < mask.bit_length():
-        return list(iter_bits(mask))
-    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
-    return list(compress(range(len(flags)), flags))
 
 
 # a row per knob; the rows that share a flag share its variable and bounds
@@ -343,12 +332,15 @@ _SCALAR_ENCODERS = {int: str, str: encode_basestring_ascii}  # exact types: not 
 
 def _json(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
-    payloads with string keys.
+    payloads with string keys, where a ``_Mask`` stands for the list of its
+    indices.
 
-    The standard encoder drops to pure Python under ``indent``; here a list
-    of plain ints is joined in one call, keys and plain ints and strings
-    are encoded as ``json.dumps`` encodes them without its per-call set-up,
-    and every other scalar still goes through ``json.dumps``.
+    The standard encoder drops to pure Python under ``indent``; here a mask
+    is written as the decimal text of its indices by ``bits.index_text``,
+    without an int per index; a list of plain ints or of plain strings is
+    encoded in one call; keys and plain ints and strings are encoded as
+    ``json.dumps`` encodes them without its per-call set-up; and every other
+    scalar still goes through ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -360,10 +352,15 @@ def _json(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         opening, closing = "[", "]"
-        if set(map(type, obj)) == {int}:  # bool, an int subclass, is not joined
-            items = map(str, obj)
+        kinds = set(map(type, obj))  # bool and _Mask, int subclasses, are not joined
+        if kinds in ({int}, {str}):
+            items = map(_SCALAR_ENCODERS[kinds.pop()], obj)
         else:
             items = (_json(v, inner) for v in obj)
+    elif type(obj) is _Mask:
+        if not obj:
+            return "[]"
+        opening, closing, items = "[", "]", (index_text(obj, f",\n{inner}"),)
     else:
         return _SCALAR_ENCODERS.get(type(obj), json.dumps)(obj)
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
@@ -389,6 +386,8 @@ def human_view(payload: dict, indent: int = 0) -> str:
         if isinstance(obj, dict):
             for key in sorted(obj):
                 value = obj[key]
+                if type(value) is _Mask:
+                    value = indices(value)
                 if isinstance(value, (dict, list)):
                     lines.append(f"{pad}{key}:")
                     walk(value, depth + 1)

@@ -154,12 +154,14 @@ def min_support_ultrafilter(w: FreeElement) -> tuple[Assignment, int]:
     if w.table == 0:
         raise ValidationError("empty clopen set")
     s = w.algebra.generator_count
+    # the table's bits read once: digits[a] is bit a, where a shift per probe
+    # would copy the whole 2^s-bit table
+    digits = f"{w.table:0{1 << s}b}"[::-1]
+    generators = [1 << i for i in range(s)]  # in order, so supports come lexicographically
     for weight in range(s + 1):
-        for positions in combinations(range(s), weight):
-            a = 0
-            for i in positions:
-                a |= 1 << i
-            if w.table >> a & 1:
+        for support in combinations(generators, weight):
+            a = sum(support)
+            if digits[a] == "1":
                 return Assignment(s, a), weight
     raise AssertionError("nonzero table has a satisfying assignment")
 

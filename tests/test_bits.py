@@ -2,15 +2,19 @@
 keeps the oracles independent of the kernels they check."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from stonelab import FiniteBooleanAlgebra, is_free_sequence_naive
+from stonelab import FiniteBooleanAlgebra, bits, is_free_sequence_naive
 from stonelab.bits import (
     extend_cells,
+    index_text,
+    indices,
     is_free,
     iter_bits,
     set_label,
@@ -21,7 +25,7 @@ from stonelab.bits import (
 )
 
 ORACLES = Path(__file__).resolve().parents[1] / "src" / "stonelab" / "oracles.py"
-KERNEL_NAMES = {"iter_bits", "set_label", "transpose", "supersets", "upper_covers",
+KERNEL_NAMES = {"iter_bits", "indices", "index_text", "set_label", "transpose", "supersets", "upper_covers",
                 "signature_classes", "is_free", "_Kernel", "_kernel"}
 
 seeded = settings(derandomize=True)
@@ -39,6 +43,48 @@ def test_iter_bits_and_label(mask):
     expected = [i for i in range(70) if mask >> i & 1]
     assert list(iter_bits(mask)) == expected
     assert set_label(mask) == "{" + ",".join(str(i) for i in expected) + "}"
+
+
+def _check_index_kernels(mask):
+    listed = list(iter_bits(mask))
+    assert indices(mask) == listed
+    for sep in (",", ",\n    ", ""):
+        assert index_text(mask, sep) == sep.join(map(str, listed))
+    assert set_label(mask) == "{" + ",".join(map(str, listed)) + "}"
+
+
+def _with_top_bit(rng, width, ones):
+    """A mask of bit length ``width`` with ``ones`` set bits."""
+    return 1 << width - 1 | sum(1 << p for p in rng.sample(range(width - 1), ones - 1))
+
+
+def test_index_kernels_on_wide_masks():
+    """A mask is sparse when fewer than one bit in eight is set, so each
+    width is probed at ones = width/8 - 1 (sparse), width/8 and width/8 + 1."""
+    rng = random.Random(4096)
+    masks = [0, 1, 1 << 4096, 1 << 65536, (1 << 4096) - 1, (1 << 16384) - 1]
+    for width in (16, 64, 800, 4096):
+        masks += [_with_top_bit(rng, width, width // 8 + d) for d in (-1, 0, 1)]
+    for mask in masks:
+        _check_index_kernels(mask)
+
+
+def test_index_text_past_the_decimal_table():
+    """The decimal table grows to the widest dense mask written so far; a
+    wider mask grows it again, and narrower ones keep reading it."""
+    held = len(bits._DECIMALS)
+    for width in (held + 1000, held + 1001, held + 1003):
+        _check_index_kernels((1 << width) - 1 ^ 1 << width - 2)
+        assert len(bits._DECIMALS) == width
+    _check_index_kernels(0b1011)
+
+
+def test_decimal_table_not_built_at_import():
+    probe = "import stonelab.cli, stonelab.bits as b; print(len(b._DECIMALS))"
+    src = str(Path(bits.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}).stdout
+    assert out == "0\n"
 
 
 @seeded

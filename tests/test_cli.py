@@ -8,16 +8,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stonelab import ValidationError, cli
-from stonelab.bits import iter_bits
+from stonelab.bits import indices, iter_bits
 from stonelab.cli import (
     _MAX_FORMULA_DEPTH,
     _MAX_JSON_DEPTH,
-    _indices,
     _json,
     build_parser,
     main,
     parse_clopen,
+    system_from_json,
+    system_to_json,
 )
+from stonelab.combinators import PorcupineSpec, porcupine
 from stonelab.freealg import FreeAlgebra
 
 
@@ -656,22 +658,56 @@ class TestInputPath:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# a mask field: dense (any int below 2^80) or sparse (a few bits up to 600)
+report_masks = (st.integers(0, (1 << 80) - 1)
+                | st.lists(st.integers(0, 600), max_size=4).map(lambda ps: sum({1 << p for p in ps})))
 json_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
-                | st.floats() | st.text(max_size=6))
+                | st.floats() | st.text(max_size=6) | report_masks.map(cli._Mask))
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(st.integers(-10**6, 10**6), max_size=4)
+    | st.lists(st.text(max_size=3), max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=25,
 )
 
 
+def expanded(obj):
+    """The payload as ``json.dumps`` takes it: each mask as its index list."""
+    if type(obj) is cli._Mask:
+        return [i for i in range(obj.bit_length()) if obj >> i & 1]
+    if isinstance(obj, dict):
+        return {k: expanded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [expanded(v) for v in obj]
+    return obj
+
+
 @settings(derandomize=True, max_examples=200)
 @given(st.dictionaries(st.text(max_size=4), json_values, max_size=5))
 @example({"": [], "é": {}, "b": [True, False, None, 1.5, "ü\n", [1, -2], [True, 1], {}]})
+@example({"set": cli._Mask(0), "s": [cli._Mask(5), cli._Mask(1 << 700)], "l": ["a", "é"]})
 def test_report_encoder_matches_json_dumps(payload):
-    assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert _json(payload) == json.dumps(expanded(payload), indent=2, sort_keys=True)
+
+
+def test_porcupine_report_matches_json_dumps():
+    """A 24-fiber porcupine (576 points), the benchmark's largest report."""
+    rng = random.Random(24)
+
+    def system(n):
+        masks = [1 << p for p in range(n)]
+        masks += [sum(1 << p for p in rng.sample(range(n), n // 2)) for _ in range(8)]
+        return system_from_json({"kind": "system", "points": n, "members": [
+            {"label": f"U{i}", "set": list(iter_bits(m))} for i, m in enumerate(masks)]})
+
+    fibers = tuple(system(24) for _ in range(24))
+    section = tuple(rng.randrange(24) for _ in range(24))
+    result = porcupine(PorcupineSpec(system(24), fibers, section))
+    payload = system_to_json(result.system, {"split_fibers": list(result.split_fibers)})
+    assert payload["points"] == 576
+    assert _json(payload) == json.dumps(expanded(payload), indent=2, sort_keys=True)
 
 
 class TestParserReuse:
@@ -708,4 +744,4 @@ def test_indices_match_iter_bits():
         for ones in (width // 8 - 1, width // 8, width // 8 + 1, width // 2, width):
             masks += [sum(1 << p for p in rng.sample(range(width), ones)) for _ in range(3)]
     for mask in masks:
-        assert _indices(mask) == list(iter_bits(mask))
+        assert indices(mask) == list(iter_bits(mask))

@@ -1,10 +1,12 @@
 """Input fuzz: structure files of every kind, with small arbitrary fields,
-fed to every CLI command that reads one.  Each run must end with exit 0,
-1 or 2, and a failing run with exactly one stderr line, never a traceback.
+fed to every CLI command that reads one, and seeded system files fed to
+``combine``.  Each run must end with exit 0, 1 or 2, and a failing run
+with exactly one stderr line, never a traceback.
 """
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -83,3 +85,63 @@ def test_every_command_ends_cleanly(structure_file, shape, data):
         assert "Traceback" not in message
         if code:
             assert message.count("\n") == 1, (command, structure, message)
+
+
+def random_system(rng, points):
+    """A system file with small quirks: empty members, repeated members,
+    repeated or missing labels, and now and then a stray base point."""
+    pool = [rng.sample(range(points), rng.randint(0, points)) for _ in range(rng.randint(0, 4))]
+    members = [{"set": rng.choice(pool)} for _ in range(rng.randint(0, 5))] if pool else []
+    for member in members:
+        if rng.random() < 0.5:
+            member["label"] = rng.choice("UVW")
+    system = {"kind": "system", "points": points, "members": members}
+    if rng.random() < 0.15:
+        system["base_point"] = rng.randint(-1, points)
+    return system
+
+
+def index_list(rng, bound, count):
+    return ",".join(str(rng.randint(-1 if rng.random() < 0.05 else 0, bound))
+                    for _ in range(count))
+
+
+def combine_argv(rng, op, folder):
+    """One seeded ``combine --op OP`` run, its inputs written to ``folder``:
+    mostly well formed, now and then with one input or index too many."""
+    def sizes(k):
+        return [rng.randint(1, 4) for _ in range(k)]
+
+    if op == "product":
+        inputs = sizes(2 if rng.random() < 0.9 else 3)
+        extra = []
+    elif op == "duplicate":
+        inputs = sizes(1)
+        extra = [] if rng.random() < 0.3 else [
+            f"--dup-points={index_list(rng, inputs[0] - 1 + (rng.random() < 0.1), rng.randint(0, 3))}"]
+    else:
+        k = rng.randint(1, 3)
+        fibers = sizes(k + (rng.random() < 0.1))
+        inputs = [k] + fibers
+        extra = [f"--section={index_list(rng, min(fibers) - 1 + (rng.random() < 0.1), k)}"]
+    paths = [folder / f"system-{i}.json" for i in range(len(inputs))]
+    for path, n in zip(paths, inputs):
+        path.write_text(json.dumps(random_system(rng, n)))
+    return ["combine", "--op", op, "--inputs", *map(str, paths), *extra]
+
+
+@pytest.mark.parametrize("op", ["product", "duplicate", "porcupine"])
+def test_combine_ends_cleanly(tmp_path, op):
+    rng = random.Random(f"combine {op}")
+    for _ in range(120):
+        argv = combine_argv(rng, op, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        text, message = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, message)
+        assert "Traceback" not in message
+        if code:
+            assert message.count("\n") == 1, (argv, message)
+        else:
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

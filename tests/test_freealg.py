@@ -80,6 +80,37 @@ class TestMinSupport:
                 )
                 assert size == brute
 
+    def test_choice_against_every_satisfying_assignment(self):
+        """The chosen assignment is the least in weight, then in the
+        lexicographic order of supports, over all satisfying assignments."""
+        rng = random.Random(1409)
+        for s in range(1, 9):
+            F = FreeAlgebra(s)
+
+            def formula(depth):
+                if depth == 0 or rng.random() < 0.25:
+                    g = F.generator(rng.randrange(s))
+                    return ~g if rng.random() < 0.4 else g
+                left, right = formula(depth - 1), formula(depth - 1)
+                return left & right if rng.random() < 0.7 else left | right
+
+            def basic():  # one forced support: small weights are rare in formula()
+                signs = [rng.randrange(3) for _ in range(s)]
+                return F.basic_clopen([i for i in range(s) if signs[i] == 1],
+                                      [i for i in range(s) if signs[i] == 2])
+
+            sample = [formula(5) for _ in range(40)] + [basic() | basic() for _ in range(20)]
+            for w in sample:
+                if w.is_zero():
+                    continue
+                assignment, size = min_support_ultrafilter(w)
+                best = min(
+                    (tuple(i for i in range(s) if a >> i & 1)
+                     for a in range(1 << s) if w.table >> a & 1),
+                    key=lambda support: (len(support), support),
+                )
+                assert (assignment.support, size) == (best, len(best))
+
     def test_anti_monotone_in_the_clopen_set(self):
         rng = random.Random(5)
         F = FreeAlgebra(4)

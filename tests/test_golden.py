@@ -40,6 +40,8 @@ CASES.update({
                           "--dup-points", "0,2"],
     "combine-porcupine": ["combine", "--op", "porcupine", "--inputs", SYS_A, SYS_A, SYS_B,
                           "--section", "0,1"],
+    "combine-porcupine-human": ["combine", "--op", "porcupine", "--inputs", SYS_A, SYS_A, SYS_B,
+                                "--section", "0,1", "--human"],
     "modest-boolean": ["analyze", "--kind", "semilattice", "--meet", BOOLEAN_MEET,
                        "--analysis", "modest"],
     "selection-algebra": ["analyze", "--kind", "algebra", "--n", "3", "--analysis", "selection"],
