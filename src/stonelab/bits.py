@@ -16,6 +16,11 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 # str(i) for i below the widest dense mask written so far; replaced by a
 # longer tuple, never mutated, so a concurrent reader sees a whole table
 _DECIMALS: tuple[str, ...] = ()
+# Per byte position p below the widest mask ``points`` has read (two at
+# least), the index tuple of each byte value with 8 * p added; grown like
+# _DECIMALS
+_POINT_TABLES: tuple[tuple[tuple[int, ...], ...], ...] = ()
+_POINT_TABLE_BYTES = 8  # masks past 64 bits take the bit loop
 
 
 def iter_bits(mask: int):
@@ -24,6 +29,33 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def points(mask: int) -> tuple[int, ...]:
+    """``tuple(iter_bits(mask))``, joined from per-byte index tables.
+
+    The bit loop copies the whole int once per set bit; the tables make a
+    mask of up to 64 bits a handful of tuple joins.
+    """
+    tables = _POINT_TABLES or _point_tables(2)
+    if mask < 0x10000:
+        return tables[0][mask & 255] + tables[1][mask >> 8]
+    size = (mask.bit_length() + 7) >> 3
+    if size > _POINT_TABLE_BYTES:
+        return tuple(iter_bits(mask))
+    if len(tables) < size:
+        tables = _point_tables(size)
+    return sum(map(tuple.__getitem__, tables, mask.to_bytes(size, "little")), ())
+
+
+def _point_tables(size: int):
+    """_POINT_TABLES grown to ``size`` byte positions: a longer copy."""
+    global _POINT_TABLES
+    held = _POINT_TABLES
+    _POINT_TABLES = held + tuple(
+        tuple(tuple(8 * p + i for i in range(8) if byte >> i & 1) for byte in range(256))
+        for p in range(len(held), size))
+    return _POINT_TABLES
 
 
 def _dense_flags(mask: int) -> bytes | None:

@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, NoReturn
@@ -35,6 +36,7 @@ from .errors import (
     SYSTEM_POINTS,
     TREE_NODES,
     CapExceededError,
+    LintWarning,
     OracleMismatchError,
     StonelabError,
     ValidationError,
@@ -954,6 +956,24 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
+    # A LintWarning is a note on a result: printed once, and only with one.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LintWarning)
+        code = _run(args)
+    notes = {}
+    for w in caught:
+        if issubclass(w.category, LintWarning):
+            notes[str(w.message)] = None
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if code == 0:
+        for message in notes:
+            print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
+    """Run the parsed command; an error is one stderr line and its exit code."""
     try:
         return globals()[args.func](args)
     except CapExceededError as exc:

@@ -9,7 +9,12 @@ Exact mode takes greedy's value U as an upper bound and descends: it
 decides "is there a separating subfamily with every order <= k?" for
 k = U - 1, then for one less than the max order of each family found,
 until a decision is refuted.  The last family found is the certified
-witness.  Preset pools realize the structured examples: all subsets of an
+witness.  A decision node scans each open class from its least point's
+row, applies the counting bound, then scans the remaining pairs; greedy
+keeps every candidate's score and updates it only for the classes that
+its last choice split.
+
+Preset pools realize the structured examples: all subsets of an
 algebra's atoms, interval tails of a chain, the canonical up-set
 generators over a poset's segment lattice, the node sets over a tree's
 path space, and the clopen filters over a semilattice's filter lattice.
@@ -17,13 +22,15 @@ path space, and the clopen filters over a semilattice's filter lattice.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import mul
 
 from .algebra import FiniteBooleanAlgebra
-from .bits import iter_bits, set_label, signature_classes, transpose
+from .bits import iter_bits, points, set_label, signature_classes, transpose
 from .errors import (EXACT_CANDIDATES, EXACT_POINTS, FREE_POOL_ATOMS, PoolInsufficientError,
                      ValidationError)
 from .families import (
@@ -85,6 +92,12 @@ class SolveResult:
     elapsed: float  # wall seconds; excluded from canonical reports
 
 
+# struct codes of the little-endian score fields, by their size in bytes
+_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+# bin() digits of a candidate mask to 1 for each candidate it leaves out
+_MISSES = bytes.maketrans(b"01", b"\1\0")
+
+
 class _Kernel:
     """Bitmask view of a pool, built once per pool.
 
@@ -93,7 +106,10 @@ class _Kernel:
     pool index of candidate j.  ``cov[x][y]`` is the mask of candidates
     separating points x and y.  A partition is a list of ``(class, order)``
     pairs: the points of a class have equal traces under the chosen
-    candidates, so they share one order.
+    candidates, so they share one order.  ``decide`` reads a class's points
+    with ``bits.points`` and its pairs from ``cov``; ``greedy`` never builds
+    ``cov``.  Nothing else is kept between calls: each run's tables live
+    in its own frame.
     """
 
     def __init__(self, pool: GeneratorPool):
@@ -130,61 +146,25 @@ class _Kernel:
                 f"pool cannot separate points {x} and {y}", witness=(x, y)
             )
 
-    @staticmethod
-    def refine(classes, c: int):
-        """Split every class by candidate mask c; the part inside c gains
-        one order."""
-        out = []
-        for cls, o in classes:
-            inside = cls & c
-            if not inside:
-                out.append((cls, o))
-                continue
-            if inside != cls:
-                out.append((cls ^ inside, o))
-            out.append((inside, o + 1))
-        return out
-
-    def branch(self, classes, free: int, k: int, capacity) -> int | None:
-        """Candidates to branch on at one search node, given the ``free``
-        candidates: those covering the open pair with the fewest free
-        covering candidates.  0 when the node is refuted, None when every
-        class is a single point.
-
-        Counting bound: the c points of a class of order o need distinct
-        traces over its t free splitting candidates, each of weight at
-        most k - o, so ``capacity[t][k - o] < c`` refutes the node.
-        """
-        best = None
-        fewest = len(self.bits) + 1
-        for cls, o in classes:
-            if not cls & (cls - 1):
-                continue
-            pts = list(iter_bits(cls))
-            splitters = 0
-            for a, x in enumerate(pts):
-                row = self.cov[x]
-                for y in pts[a + 1:]:
-                    cover = row[y] & free
-                    count = cover.bit_count()
-                    if count < fewest:
-                        if not count:
-                            return 0
-                        best, fewest = cover, count
-                    if not a:
-                        splitters |= cover
-            if capacity[splitters.bit_count()][k - o] < len(pts):
-                return 0
-        return best
-
     def decide(self, k: int) -> tuple[list[int] | None, int]:
         """Depth-first search for a T0 family with max order <= k.
 
         Returns the chosen candidates (None when refuted) and the nodes
         explored.  A candidate is feasible when it contains no point of
         order k; each branch also excludes its earlier, refuted siblings.
+
+        A node branches on the free candidates covering its open pair with
+        the fewest free covers, the first such pair in class order, then
+        lexicographic.  Each open class is scanned from its least point
+        x0: x0's row first, whose covers together are the free candidates
+        splitting the class; then the counting bound, since the c points
+        of a class of order o need distinct traces over its t free
+        splitters, each of weight at most k - o, so ``capacity[t][k - o]
+        < c`` refutes the node; then the remaining pairs.  A pair with no
+        free cover refutes the node too.
         """
-        m = len(self.bits)
+        bits, contains, cov = self.bits, self.contains, self.cov
+        m = len(bits)
         everything = (1 << m) - 1
         # capacity[t][r]: 0/1 vectors of length t and weight <= r
         capacity = [[1] * (k + 1)]
@@ -197,7 +177,35 @@ class _Kernel:
         nodes = 0
         while True:
             nodes += 1
-            untried = self.branch(classes, everything & ~(blocked | excluded), k, capacity)
+            free = everything & ~(blocked | excluded)
+            untried = None  # None: every class is one point; 0: refuted
+            fewest = m + 1  # 0 once some pair has no free cover
+            for cls, o in classes:
+                if not cls & (cls - 1):
+                    continue
+                pts = points(cls)
+                row = cov[pts[0]]
+                splitters = 0
+                for y in pts[1:]:
+                    cover = row[y] & free
+                    splitters |= cover
+                    count = cover.bit_count()
+                    if count < fewest:
+                        untried, fewest = cover, count
+                if not fewest or capacity[splitters.bit_count()][k - o] < len(pts):
+                    untried = 0
+                    break
+                for a in range(1, len(pts) - 1):
+                    row = cov[pts[a]]
+                    for y in pts[a + 1:]:
+                        cover = row[y] & free
+                        count = cover.bit_count()
+                        if count < fewest:
+                            untried, fewest = cover, count
+                    if not fewest:
+                        break
+                if not fewest:
+                    break
             if untried is None:
                 return [frame[4] for frame in stack], nodes
             if untried:
@@ -211,39 +219,103 @@ class _Kernel:
             frame[3] ^= low
             frame[2] |= low  # later siblings exclude this one
             frame[4] = j = low.bit_length() - 1
-            c = self.bits[j]
-            classes, blocked, excluded = self.refine(frame[0], c), frame[1], frame[2]
-            for cls, o in classes:
-                if o == k and cls & c:
-                    for p in iter_bits(cls):
-                        blocked |= self.contains[p]
+            c = bits[j]
+            blocked, excluded = frame[1], frame[2]
+            classes = []  # each class split by c; the part inside gains one order
+            for cls, o in frame[0]:
+                inside = cls & c
+                if not inside:
+                    classes.append((cls, o))
+                    continue
+                if inside != cls:
+                    classes.append((cls ^ inside, o))
+                classes.append((inside, o + 1))
+                if o + 1 == k:
+                    for p in points(inside):
+                        blocked |= contains[p]
 
     def greedy(self) -> list[int]:
         """Repeatedly take the candidate separating the most open pairs,
         the sum of |C & c| * |C - c| over the classes C; ties go to the
-        least new maximum order, then to pool order."""
-        classes = [(self.full, 0)]
+        least new maximum order, then to pool order.
+
+        Scores are kept up to date, not recounted.  A candidate of w points
+        starts at w * (n - w); when the chosen c splits a class C into A
+        and B, each candidate d loses the pairs across the cut that it
+        separates, |A & d| * |B - d| + |B & d| * |A - d|.  Only the classes
+        c splits change a score.  The scores share one int, a field per
+        candidate, so a split costs a few wide sums over its smaller part
+        A: ``rows[p]`` holds 1 in the field of each candidate containing
+        point p, an open class carries the sum of its rows (field d is
+        |C & d|), and the fieldwise |A & d| * |B & d| is the sum over p in
+        A of B's sums masked to p's fields.
+        """
+        bits, contains = self.bits, self.contains
+        n, m = self.full.bit_length(), len(bits)
+        # field bytes: a split subtracts at most 2|A||B| <= n*n/2 per field
+        size, code = next((s, c) for s, c in _FIELDS if n * n < 2 << 8 * s)
+        fmt = f"<{m}{code}"
+
+        def pack(values) -> int:
+            return int.from_bytes(struct.pack(fmt, *values), "little")
+
+        spread = {ord("0"): "\0" * size, ord("1"): "\1" + "\0" * (size - 1)}
+        rows = [int.from_bytes(bin(row | 1 << m)[:2:-1].translate(spread).encode("latin-1"),
+                               "little") for row in contains]
+        ones = (1 << 8 * size) - 1  # one field full
+        weights = list(map(int.bit_count, bits))
+        scores_int = pack([w * (n - w) for w in weights])
+        # open classes of two or more points, with the sums of their rows
+        opened = [(self.full, pack(weights))] if n > 1 else []
+        levels = [self.full]  # levels[o]: the points of order o
         top = 0
         chosen = []
-        while True:
-            split = [cls for cls, _ in classes if cls & (cls - 1)]
-            if not split:
-                return chosen
-            at_top = sum(cls for cls, o in classes if o == top)
-            best = (0, 0, -1)  # gain, new max order, candidate
-            for j, c in enumerate(self.bits):
-                gain = 0
-                for cls in split:
-                    inside = cls & c
-                    if inside and inside != cls:
-                        gain += inside.bit_count() * (cls ^ inside).bit_count()
-                if gain and gain >= best[0]:
-                    new_max = top + 1 if c & at_top else top
-                    if gain > best[0] or new_max < best[1]:
-                        best = (gain, new_max, j)
-            _, top, j = best
+        while opened:
+            scores = struct.unpack(fmt, scores_int.to_bytes(m * size, "little"))
+            best = max(scores)
+            j = scores.index(best)
+            if bits[j] & levels[top]:  # the first best missing the top order, if any
+                meets = 0
+                for p in points(levels[top]):
+                    meets |= contains[p]
+                misses = bin(meets | 1 << m)[:2:-1].encode().translate(_MISSES)
+                lower = list(map(mul, scores, misses))
+                if best in lower:
+                    j = lower.index(best)
+                else:
+                    top += 1
+                    levels.append(0)
             chosen.append(j)
-            classes = self.refine(classes, self.bits[j])
+            c = bits[j]
+            for o in range(top - 1, -1, -1):
+                moving = levels[o] & c
+                if moving:
+                    levels[o] ^= moving
+                    levels[o + 1] |= moving
+            out = []
+            for cls, sums in opened:
+                inside = cls & c
+                if not inside or inside == cls:
+                    out.append((cls, sums))
+                    continue
+                small, large = cls ^ inside, inside
+                if small.bit_count() > large.bit_count():
+                    small, large = large, small
+                pts = points(small)
+                x = 0
+                for p in pts:
+                    x += rows[p]
+                y = sums - x
+                xy = 0
+                for p in pts:
+                    xy += y & rows[p] * ones
+                scores_int -= large.bit_count() * x + len(pts) * y - 2 * xy
+                if len(pts) > 1:
+                    out.append((small, x))
+                if large & (large - 1):
+                    out.append((large, y))
+            opened = out
+        return chosen
 
 
 def _family_of(pool: GeneratorPool, chosen) -> SeparatingFamily:

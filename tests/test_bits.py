@@ -17,6 +17,7 @@ from stonelab.bits import (
     indices,
     is_free,
     iter_bits,
+    points,
     set_label,
     signature_classes,
     supersets,
@@ -81,6 +82,29 @@ def test_index_text_past_the_decimal_table():
 
 def test_decimal_table_not_built_at_import():
     probe = "import stonelab.cli, stonelab.bits as b; print(len(b._DECIMALS))"
+    src = str(Path(bits.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}).stdout
+    assert out == "0\n"
+
+
+def test_points_against_iter_bits():
+    """Zero, each width 1..70 (all ones, the top bit alone, random fill),
+    lone bits either side of the 64-bit table cap, and masks past it."""
+    rng = random.Random(70)
+    masks = [0, 1 << 63, 1 << 64, 1 << 65, (1 << 64) - 1, (1 << 65) - 1, (1 << 4096) - 1,
+             1 << 4096 | 1, rng.getrandbits(600)]
+    for width in range(1, 71):
+        top = 1 << width - 1
+        masks += [(1 << width) - 1, top] + [top | rng.getrandbits(width - 1) for _ in range(20)]
+    for mask in masks:
+        got = points(mask)
+        assert type(got) is tuple and got == tuple(iter_bits(mask)), mask
+    assert len(bits._POINT_TABLES) <= bits._POINT_TABLE_BYTES
+
+
+def test_point_tables_not_built_at_import():
+    probe = "import stonelab.cli, stonelab.bits as b; print(len(b._POINT_TABLES))"
     src = str(Path(bits.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}).stdout

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -745,3 +747,46 @@ def test_indices_match_iter_bits():
             masks += [sum(1 << p for p in rng.sample(range(width), ones)) for _ in range(3)]
     for mask in masks:
         assert indices(mask) == list(iter_bits(mask))
+
+
+class TestLintNotes:
+    """LintWarnings raised while a command runs are printed once each, as
+    ``warning:`` lines after a successful run, and not at all after a
+    failing one, whose stderr stays its one error line."""
+
+    DUPLICATED = {"kind": "system", "points": 3,
+                  "members": [{"set": [0]}, {"set": [0]}, {"set": [1]}]}
+    NOTES = ["warning: family has 1 duplicate member set(s), e.g. 'U0' == 'U1'; "
+             "duplicates count multiply toward ord",
+             "warning: family has 1 duplicate member set(s), e.g. 'dup:lift:U0' == "
+             "'dup:lift:U1'; duplicates count multiply toward ord"]
+
+    def cli(self, *argv):
+        """The CLI in a fresh interpreter, with the real stderr and the
+        default warning filters."""
+        src = str(Path(cli.__file__).parents[1])
+        return subprocess.run([sys.executable, "-m", "stonelab", *argv], capture_output=True,
+                              text=True, env={"PYTHONPATH": src})
+
+    def test_failing_run_prints_one_line(self, tmp_path):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({**self.DUPLICATED, "points": 2, "base_point": 5}))
+        proc = self.cli("combine", "--op", "duplicate", "--inputs", str(f))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: base point out of range\n"
+
+    def test_successful_run_prints_each_note_once(self, tmp_path):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(self.DUPLICATED))
+        proc = self.cli("combine", "--op", "duplicate", "--inputs", str(f), "--dup-points", "0")
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == self.NOTES
+        json.loads(proc.stdout)
+
+    def test_notes_repeat_across_in_process_calls(self, tmp_path, capsys):
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(self.DUPLICATED))
+        argv = ["combine", "--op", "duplicate", "--inputs", str(f), "--dup-points", "0"]
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err.splitlines() == self.NOTES

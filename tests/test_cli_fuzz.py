@@ -1,7 +1,8 @@
 """Input fuzz: structure files of every kind, with small arbitrary fields,
 fed to every CLI command that reads one, and seeded system files fed to
-``combine``.  Each run must end with exit 0, 1 or 2, and a failing run
-with exactly one stderr line, never a traceback.
+``combine``.  Each run must end with exit 0, 1 or 2, never a traceback: a
+failing run with exactly one stderr line, a successful one with at most
+its distinct ``warning:`` notes.
 """
 
 import io
@@ -14,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from stonelab.cli import ANALYSES, POOLS, main
 
-pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
+
+def assert_notes_only(message):
+    """A run that succeeds may print LintWarning notes, each once."""
+    lines = message.splitlines()
+    assert all(line.startswith("warning: ") for line in lines), message
+    assert len(set(lines)) == len(lines), message
 
 small_ints = st.integers(-2, 8)
 scalars = st.none() | st.booleans() | small_ints | st.text("ab", max_size=2)
@@ -85,6 +91,8 @@ def test_every_command_ends_cleanly(structure_file, shape, data):
         assert "Traceback" not in message
         if code:
             assert message.count("\n") == 1, (command, structure, message)
+        else:
+            assert_notes_only(message)
 
 
 def random_system(rng, points):
@@ -145,3 +153,4 @@ def test_combine_ends_cleanly(tmp_path, op):
             assert message.count("\n") == 1, (argv, message)
         else:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            assert_notes_only(message)
