@@ -55,7 +55,6 @@ from .freeseq import (
     FreeSequence,
     SigmaTree,
     is_free_sequence,
-    is_free_sequence_naive,
     longest_free_point_sequence,
     longest_free_sequence,
     sigma_squared,

@@ -136,9 +136,6 @@ class Element:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def is_one(self) -> bool:
-        return self.bits == self.algebra.full_mask
-
     def atom_count(self) -> int:
         return self.bits.bit_count()
 

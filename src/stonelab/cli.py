@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import warnings
 from functools import cache, partial
@@ -50,12 +49,7 @@ from .families import (
     selection_value,
 )
 from .freealg import FreeAlgebra, FreeElement, min_support_ultrafilter
-from .freeseq import (
-    is_free_sequence,
-    is_free_sequence_naive,
-    longest_free_point_sequence,
-    longest_free_sequence,
-)
+from .freeseq import longest_free_point_sequence, longest_free_sequence
 from .orders import (
     FinitePoset,
     MeetSemilattice,
@@ -779,83 +773,12 @@ def cmd_export_dot(args) -> int:
 # ------------------------------------------------------------------ selftest
 
 def cmd_selftest(args) -> int:
-    from . import oracles
+    from .selftest import run
 
     seed = args.seed
     if seed is None:
         seed = _flag_int(os.environ.get("STONELAB_SEED") or "0", "STONELAB_SEED")
-    rng = random.Random(seed)
-    failures = []
-
-    def check(name, condition):
-        status = "ok" if condition else "MISMATCH"
-        print(f"{status:8s} {name}")
-        if not condition:
-            failures.append(name)
-
-    # generation check vs fixpoint closure
-    agree = True
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        algebra = FiniteBooleanAlgebra(n)
-        gens = [
-            algebra.element(rng.randrange(1 << n))
-            for _ in range(rng.randint(0, n + 2))
-        ]
-        if generates_whole(algebra, gens) != oracles.closure_generates(
-            n, [g.bits for g in gens]
-        ):
-            agree = False
-            break
-    check("generation == closure-to-fixpoint oracle", agree)
-
-    # reduced vs naive free-sequence check
-    agree = True
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        algebra = FiniteBooleanAlgebra(n)
-        terms = [
-            algebra.element(rng.randrange(1 << n))
-            for _ in range(rng.randint(0, 4))
-        ]
-        if is_free_sequence(algebra, terms) != is_free_sequence_naive(algebra, terms):
-            agree = False
-            break
-    check("maximal-split freeness == all-pairs definition", agree)
-
-    # solver vs exhaustive enumeration
-    agree = True
-    for _ in range(60):
-        npts = rng.randint(2, 5)
-        pool_size = rng.randint(1, 12 - npts)  # stay inside the oracle cap
-        pts = PointSet(npts)
-        cands = tuple(
-            Member(f"c{i}", rng.randrange(1 << npts)) for i in range(pool_size)
-        )
-        for p in range(npts):  # keep pools separating
-            cands = cands + (Member(f"s{p}", 1 << p),)
-        pool = GeneratorPool(pts, cands)
-        expected = oracles.exhaustive_min_max_order(pool)
-        got = min_max_order(pool).value
-        if expected != got:
-            agree = False
-            break
-    check("branch-and-bound solver == exhaustive subfamily oracle", agree)
-
-    # prime filters of segment lattices: principal filters vs up-set enumeration
-    agree = True
-    try:
-        for n in range(1, 4):
-            for up in oracles.posets_up_to_iso(n):
-                lattice = final_segments(FinitePoset(up))
-                if prime_clopen_filters(lattice) != oracles.prime_filters_by_enumeration(lattice):
-                    agree = False
-    except OracleMismatchError:
-        agree = False
-    check("prime filters of FS(P) biject with P", agree)
-
-    print(f"selftest: {4 - len(failures)}/4 oracle pairs agree (seed {seed})")
-    return 3 if failures else 0
+    return run(seed)
 
 
 # ---------------------------------------------------------------------- main

@@ -4,8 +4,8 @@ A sequence (a_0, ..., a_{k-1}) is free when every front/back split has a
 nonzero product of front terms and back complements.  Only the k+1 maximal
 splits matter: products shrink as the index sets grow, so an arbitrary pair
 (S, T) with S wholly below T dominates the maximal split at max(S)+1.  The
-naive all-pairs check is an oracle, ``oracles.is_free_sequence_naive``,
-re-exported here.
+naive all-pairs check is kept apart as an oracle,
+``oracles.is_free_sequence_naive``, and ``selftest`` compares the two.
 
 The maximal splits give the split cells D_beta = a_0 & ... & a_{beta-1} &
 ~a_beta & ... & ~a_{k-1}, pairwise disjoint, and the invariant of every
@@ -27,7 +27,6 @@ from .algebra import Element, FiniteBooleanAlgebra
 from .bits import extend_cells, is_free, iter_bits, transpose
 from .combinators import PointedSystem
 from .errors import SIGMA_NODES, ValidationError
-from .oracles import is_free_sequence_naive  # re-exported
 from .trees import FiniteForest, sigma_system
 
 DEFAULT_POOL_ATOM_CAP = 5

@@ -13,7 +13,6 @@ from itertools import permutations
 
 from .errors import NAIVE_LENGTH, OracleMismatchError, ValidationError
 from .orders import PrimeFilterInfo
-from .solver import GeneratorPool
 
 
 def closure_generates(atom_count: int, masks) -> bool:

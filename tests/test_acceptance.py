@@ -17,7 +17,6 @@ from stonelab import (
     FiniteBooleanAlgebra,
     FinitePoset,
     FiniteForest,
-    GeneratorPool,
     PorcupineSpec,
     alexandrov_duplication,
     closure_of_ultrafilter_set,
@@ -26,7 +25,6 @@ from stonelab import (
     final_segments,
     generates_whole,
     is_free_sequence,
-    is_free_sequence_naive,
     longest_free_point_sequence,
     longest_free_sequence,
     min_max_order,
@@ -41,8 +39,6 @@ from stonelab import (
 from stonelab.cli import main as cli_main
 from stonelab.combinators import system_from_sets
 from stonelab.families import (
-    Member,
-    PointSet,
     family_from_elements,
     is_t0_separating,
     order_profile,
@@ -50,10 +46,12 @@ from stonelab.families import (
 from stonelab.oracles import (
     closure_generates,
     exhaustive_min_max_order,
+    is_free_sequence_naive,
     point_sequence_is_free_by_closure,
     posets_up_to_iso,
     rooted_tree_shapes,
 )
+from test_solver import random_pool
 
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
 
@@ -308,23 +306,7 @@ def test_solver_exactness():
     rng = random.Random(512)
     instances = 0
     for _ in range(500):
-        n = rng.randint(2, 6)
-        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12 - n))]
-        while True:  # repair separation to a fixpoint
-            sigs = {}
-            dup = None
-            for p in range(n):
-                sig = tuple(m >> p & 1 for m in masks)
-                if sig in sigs:
-                    dup = p
-                    break
-                sigs[sig] = p
-            if dup is None:
-                break
-            masks.append(1 << dup)
-        pool = GeneratorPool(
-            PointSet(n), tuple(Member(f"c{i}", m) for i, m in enumerate(masks))
-        )
+        pool = random_pool(rng, with_singletons=False)
         assert min_max_order(pool).value == exhaustive_min_max_order(pool)
         instances += 1
     # preset instances against the same oracle where the caps allow
@@ -342,13 +324,7 @@ def test_solver_exactness():
         assert min_max_order(preset_pool("upsets", FinitePoset.chain(n))).value == n
     # pools containing all singletons always solve at order 1
     for _ in range(50):
-        n = rng.randint(2, 6)
-        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12 - n))]
-        masks += [1 << p for p in range(n)]
-        pool = GeneratorPool(
-            PointSet(n), tuple(Member(f"c{i}", m) for i, m in enumerate(masks))
-        )
-        assert min_max_order(pool).value == 1
+        assert min_max_order(random_pool(rng)).value == 1
         instances += 1
     ok(f"solver exactness: matches exhaustive enumeration on {instances} instances; "
        f"up-set pools over chains force value n; singleton pools give 1")

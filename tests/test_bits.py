@@ -1,5 +1,6 @@
-"""Each bitmask kernel against its literal definition, plus a guard that
-keeps the oracles independent of the kernels they check."""
+"""Each bitmask kernel against its literal definition, plus guards that
+keep the oracles independent of the kernels they check and off the
+start-up path."""
 
 import ast
 import subprocess
@@ -10,7 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from stonelab import FiniteBooleanAlgebra, bits, is_free_sequence_naive
+from stonelab import FiniteBooleanAlgebra, bits
 from stonelab.bits import (
     extend_cells,
     index_text,
@@ -24,6 +25,7 @@ from stonelab.bits import (
     transpose,
     upper_covers,
 )
+from stonelab.oracles import is_free_sequence_naive
 
 ORACLES = Path(__file__).resolve().parents[1] / "src" / "stonelab" / "oracles.py"
 KERNEL_NAMES = {"iter_bits", "indices", "index_text", "set_label", "transpose", "supersets", "upper_covers",
@@ -101,6 +103,14 @@ def test_points_against_iter_bits():
         got = points(mask)
         assert type(got) is tuple and got == tuple(iter_bits(mask)), mask
     assert len(bits._POINT_TABLES) <= bits._POINT_TABLE_BYTES
+
+
+def test_oracles_not_loaded_at_import():
+    probe = "import sys, stonelab.cli; print('stonelab.oracles' in sys.modules)"
+    src = str(Path(bits.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 def test_point_tables_not_built_at_import():
@@ -217,3 +227,20 @@ def test_oracles_stay_off_the_kernels():
             assert not KERNEL_NAMES & {a.name for a in node.names}, ast.dump(node)
         elif isinstance(node, ast.Attribute):
             assert node.attr not in KERNEL_NAMES, ast.dump(node)
+
+
+def test_only_selftest_imports_the_oracles():
+    """The CLI loads ``selftest``, and so the oracles, only when that
+    subcommand runs; an implementation module that imported them would put
+    them back on every start-up."""
+    for path in ORACLES.parent.glob("*.py"):
+        if path.name == "selftest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            assert not any("oracles" in name.split(".") for name in names), (path.name, ast.dump(node))

@@ -19,7 +19,6 @@ from stonelab import (
     filters,
     final_segments,
     initial_chain_algebra,
-    is_free_sequence_naive,
     min_max_order,
     preset_pool,
     product_system,
@@ -28,6 +27,7 @@ from stonelab import (
 )
 from stonelab import errors as E
 from stonelab.cli import POOLS, build_parser, build_structure, main, system_from_json
+from stonelab.oracles import is_free_sequence_naive
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stonelab"
 

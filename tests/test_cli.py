@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonelab import ValidationError, cli
+from stonelab import ValidationError, cli, selftest
 from stonelab.bits import indices, iter_bits
 from stonelab.cli import (
     _MAX_FORMULA_DEPTH,
@@ -266,6 +266,39 @@ class TestSelftest:
         code, out = run(capsys, "selftest", "--seed", "1")
         assert code == 0
         assert "4/4" in out
+
+    def test_mismatch_exits_three(self, monkeypatch, capsys):
+        rows = list(selftest.CHECKS)
+        name, cases, _ = rows[2]
+        rows[2] = (name, cases, lambda *case: False)
+        monkeypatch.setattr(selftest, "CHECKS", tuple(rows))
+        code, out = run(capsys, "selftest", "--seed", "1")
+        assert code == 3
+        assert out.splitlines() == [
+            "ok       generation == closure-to-fixpoint oracle",
+            "ok       maximal-split freeness == all-pairs definition",
+            "MISMATCH branch-and-bound solver == exhaustive subfamily oracle",
+            "ok       prime filters of FS(P) biject with P",
+            "selftest: 3/4 oracle pairs agree (seed 1)",
+        ]
+
+    def test_seed_flag_wins_over_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("STONELAB_SEED", "abc")
+        assert main(["selftest"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: STONELAB_SEED: 'abc' is not an integer\n"
+        code, out = run(capsys, "selftest", "--seed", "5")
+        assert code == 0 and out.endswith("(seed 5)\n")
+
+    @pytest.mark.parametrize("row", selftest.CHECKS, ids=lambda row: row[0].split()[0])
+    def test_rows_agree_on_ten_seeds(self, row):
+        """Each row's sample under seeds 0-9 on its own generator: ten times
+        what one selftest run draws for the random rows."""
+        _, cases, agree = row
+        for seed in range(10):
+            for case in cases(random.Random(seed)):
+                assert agree(*case), (seed, case)
 
 
 class TestDeterminism:

@@ -8,14 +8,17 @@ from stonelab import (
     FiniteBooleanAlgebra,
     ValidationError,
     is_free_sequence,
-    is_free_sequence_naive,
     longest_free_point_sequence,
     longest_free_sequence,
     sigma_squared,
     sigma_tree,
 )
 from stonelab.families import order_profile
-from stonelab.oracles import point_sequence_is_free_by_closure, sigma_tree_by_enumeration
+from stonelab.oracles import (
+    is_free_sequence_naive,
+    point_sequence_is_free_by_closure,
+    sigma_tree_by_enumeration,
+)
 
 
 def chain_tails(B):
