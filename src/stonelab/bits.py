@@ -5,11 +5,24 @@ layer works on the same matrix of points against members, one mask per
 row; these are the jobs on it that more than one module needs.  The
 oracles in ``stonelab.oracles`` deliberately recompute the same answers
 without this module.
+
+Wide masks are cheaper to read through their ``bin()`` digits than bit by
+bit, because the bit loop copies the whole int once per set bit.  Where each
+kernel switches:
+
+* ``index_text`` (and ``indices``, ``set_label``): a sparse mask, with fewer
+  than one bit in eight set, takes the bit loop; a dense one with few runs,
+  at least 16 set bits per run of ones, is sliced run by run out of a
+  per-separator text of every index (``index_text`` only); any other dense
+  mask picks its decimals out of a table with ``itertools.compress``.
+* ``transpose``: a matrix of at least 4,096 cells with one bit in eight set
+  is padded to the width as digits and read back column by column; smaller
+  or sparser ones take the bit loop.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 
 # bin() digits to the 0/1 bytes compress() takes as selectors
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -21,6 +34,20 @@ _DECIMALS: tuple[str, ...] = ()
 # _DECIMALS
 _POINT_TABLES: tuple[tuple[tuple[int, ...], ...], ...] = ()
 _POINT_TABLE_BYTES = 8  # masks past 64 bits take the bit loop
+# Per separator, the text "0{sep}1{sep}..." up to the widest run-path mask
+# written with it so far, and where each str(i) starts in it (one start past
+# the last index too); grown like _DECIMALS
+_RUN_TEXTS: dict[str, tuple[str, tuple[int, ...]]] = {}
+# Set bits per run of ones from which slicing runs beats compress: a run costs
+# a few Python steps, an index a C-level step; at half density and 576 bits,
+# runs of 8 were 1.6 times slower by runs, of 12 about even, of 16 and 24
+# 0.8 and 0.66 times the compress time
+_RUN_ONES = 16
+# Below this many cells the bit loop costs about what the digits do, one bit
+# in eight set or not: a 32 x 24 matrix of singletons and halves (one bit in
+# six) takes 26 us looped and 52 us by digits, a 64 x 64 one at 13% about
+# 100 us either way
+_DIGIT_CELLS = 4096
 
 
 def iter_bits(mask: int):
@@ -81,14 +108,47 @@ def indices(mask: int) -> list[int]:
 def index_text(mask: int, sep: str = ",") -> str:
     """``sep.join(map(str, iter_bits(mask)))``: the indices of ``mask`` as
     decimal text, without building an int per index when the mask is dense."""
-    global _DECIMALS
-    flags = _dense_flags(mask)
-    if flags is None:
+    ones = mask.bit_count()
+    if ones * 8 < mask.bit_length():
         return sep.join(map(str, iter_bits(mask)))
+    digits = bin(mask)[:1:-1]
+    if (mask & ~(mask << 1)).bit_count() * _RUN_ONES <= ones:
+        return _run_text(digits, sep)
     decimals = _DECIMALS
-    if len(decimals) < len(flags):
-        decimals = _DECIMALS = decimals + tuple(map(str, range(len(decimals), len(flags))))
-    return sep.join(compress(decimals, flags))
+    if len(decimals) < len(digits):
+        decimals = _decimals(len(digits))
+    return sep.join(compress(decimals, digits.encode().translate(_DIGIT_FLAGS)))
+
+
+def _decimals(width: int) -> tuple[str, ...]:
+    """_DECIMALS, grown to ``width`` entries at least."""
+    global _DECIMALS
+    decimals = _DECIMALS
+    if len(decimals) < width:
+        decimals = _DECIMALS = decimals + tuple(map(str, range(len(decimals), width)))
+    return decimals
+
+
+def _run_text(digits: str, sep: str) -> str:
+    """``index_text`` of the mask whose reversed ``bin()`` digits are
+    ``digits``, one slice of the separator's run text per run of ones."""
+    text, starts = _RUN_TEXTS.get(sep, ("", (0,)))
+    if len(starts) <= len(digits):
+        decimals = _decimals(len(digits))[:len(digits)]
+        text = sep.join(decimals)
+        starts = tuple(accumulate((len(d) + len(sep) for d in decimals), initial=0))
+        _RUN_TEXTS[sep] = text, starts
+    cut = len(sep)
+    runs = []
+    find = digits.find
+    first = find("1")
+    while first >= 0:
+        stop = find("0", first)
+        if stop < 0:
+            stop = len(digits)
+        runs.append(text[starts[first]:starts[stop] - cut])
+        first = find("1", stop)
+    return sep.join(runs)
 
 
 def set_label(mask: int) -> str:
@@ -101,6 +161,14 @@ def transpose(rows, width: int) -> list[int]:
 
     ``width`` is the number of columns; every row must fit in it.
     """
+    cells = len(rows) * width
+    if cells >= _DIGIT_CELLS and sum(map(int.bit_count, rows)) * 8 >= cells:
+        # Dense: column c's digits, last row first, sit at place width-1-c of
+        # the rows' padded texts, so the columns come out in reverse.
+        texts = [format(row, f"0{width}b") for row in reversed(rows)]
+        cols = [int("".join(digits), 2) for digits in zip(*texts)]
+        cols.reverse()
+        return cols
     cols = [0] * width
     for r, row in enumerate(rows):
         bit = 1 << r

@@ -15,6 +15,7 @@ import sys
 import warnings
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from . import dot as dotmod
@@ -85,6 +86,11 @@ def read_structure(path: str) -> dict:
             deep = True
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: cannot decode as text: {exc.reason}") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() refuses a literal past the interpreter's digit limit
+            raise ValidationError(f"{path}: integer literal longer than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
     if deep:
         raise ValidationError(f"{path}: JSON nested too deeply")
     if isinstance(data, int):
@@ -334,9 +340,10 @@ def _json(obj, indent: str = "") -> str:
     The standard encoder drops to pure Python under ``indent``; here a mask
     is written as the decimal text of its indices by ``bits.index_text``,
     without an int per index; a list of plain ints or of plain strings is
-    encoded in one call; keys and plain ints and strings are encoded as
-    ``json.dumps`` encodes them without its per-call set-up; and every other
-    scalar still goes through ``json.dumps``.
+    encoded in one call; a list of plain dicts that share their keys is
+    written by one row template (``_rows``); keys and plain ints and strings
+    are encoded as ``json.dumps`` encodes them without its per-call set-up;
+    and every other scalar still goes through ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -351,6 +358,8 @@ def _json(obj, indent: str = "") -> str:
         kinds = set(map(type, obj))  # bool and _Mask, int subclasses, are not joined
         if kinds in ({int}, {str}):
             items = map(_SCALAR_ENCODERS[kinds.pop()], obj)
+        elif kinds == {dict} and obj[0] and all(map(obj[0].keys().__eq__, map(dict.keys, obj))):
+            items = _rows(obj, inner)
         else:
             items = (_json(v, inner) for v in obj)
     elif type(obj) is _Mask:
@@ -359,7 +368,34 @@ def _json(obj, indent: str = "") -> str:
         opening, closing, items = "[", "]", (index_text(obj, f",\n{inner}"),)
     else:
         return _SCALAR_ENCODERS.get(type(obj), json.dumps)(obj)
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+    body = f",\n{inner}".join(items)
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
+def _rows(rows: list, indent: str):
+    """The ``_json`` text of each dict in ``rows``, which share one non-empty
+    key set, written at ``indent``: one ``%`` template from the sorted keys,
+    filled column by column.  Columns are encoded lazily, a row at a time,
+    so no column of text is held whole."""
+    inner = indent + "  "
+    keys = sorted(rows[0])
+    template = "{\n%s\n%s}" % (",\n".join(
+        f"{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys), indent)
+    return map(template.__mod__, zip(*(_column(rows, k, inner) for k in keys)))
+
+
+def _column(rows: list, key: str, indent: str):
+    """The ``_json`` texts of each row's ``key`` value at ``indent``, through
+    one encoder for the whole column when its values share a plain type."""
+    kinds = set(map(type, map(itemgetter(key), rows)))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    values = map(itemgetter(key), rows)
+    if kind in _SCALAR_ENCODERS:
+        return map(_SCALAR_ENCODERS[kind], values)
+    if kind is _Mask:
+        sep = f",\n{indent}  "
+        return (f"[\n{indent}  {index_text(m, sep)}\n{indent}]" if m else "[]" for m in values)
+    return map(partial(_json, indent=indent), values)
 
 
 def emit(args, payload: dict) -> None:

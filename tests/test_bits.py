@@ -72,22 +72,71 @@ def test_index_kernels_on_wide_masks():
         _check_index_kernels(mask)
 
 
+def _runs(lengths, gap):
+    """Runs of ones of the given lengths, lowest first, ``gap`` zeros apart."""
+    mask, at = 0, 0
+    for length in lengths:
+        mask |= ((1 << length) - 1) << at
+        at += length + gap
+    return mask
+
+
+def _runs_at(spans):
+    """Ones at a..b-1 for each span (a, b)."""
+    return sum(((1 << b) - 1) ^ ((1 << a) - 1) for a, b in spans)
+
+
+def test_index_text_run_switch():
+    """A dense mask with at least 16 set bits per run of ones is written
+    run by run, one with a bit fewer through compress; both against the
+    definition, and a separator first seen on each side shows which path
+    wrote it."""
+    for count in (1, 2, 5, 40):
+        for gap in (1, 3, 100):
+            for last, by_runs in ((16, True), (15, False)):
+                mask = _runs([16] * (count - 1) + [last], gap)
+                _check_index_kernels(mask)
+                sep = f";{count}/{gap}/{last};"
+                assert index_text(mask, sep) == sep.join(map(str, iter_bits(mask)))
+                assert (sep in bits._RUN_TEXTS) == by_runs
+
+
+def test_index_text_on_wide_run_masks():
+    """All ones, alternating bits, a lone high bit and a few long runs, at
+    widths of 4,096 bits and more."""
+    rng = random.Random(16384)
+    masks = [(1 << 4096) - 1, (1 << 20000) - 1, int("10" * 3000, 2), int("01" * 3000, 2),
+             1 << 70000, (1 << 4096) - 1 ^ 1 << 2048, _runs([4096, 9, 8, 1000], 4000)]
+    for width in (4096, 9000):
+        for _ in range(5):
+            cuts = sorted(rng.sample(range(width), 2 * rng.randint(1, 12)))
+            masks.append(_runs_at(zip(cuts[::2], cuts[1::2])))
+    for mask in masks:
+        _check_index_kernels(mask)
+
+
 def test_index_text_past_the_decimal_table():
     """The decimal table grows to the widest dense mask written so far; a
-    wider mask grows it again, and narrower ones keep reading it."""
+    wider mask grows it again, and narrower ones keep reading it.  These
+    masks (runs of one and two ones) take compress; a run-path mask grows
+    the same table and its separator's run text."""
     held = len(bits._DECIMALS)
     for width in (held + 1000, held + 1001, held + 1003):
-        _check_index_kernels((1 << width) - 1 ^ 1 << width - 2)
+        _check_index_kernels(int(("1101" * width)[:width], 2))
         assert len(bits._DECIMALS) == width
     _check_index_kernels(0b1011)
+    width = len(bits._DECIMALS) + 2000
+    _check_index_kernels((1 << width) - 1)
+    assert len(bits._DECIMALS) == width and len(bits._RUN_TEXTS[","][1]) == width + 1
+    _check_index_kernels((1 << 100) - 1 ^ 1 << 50)
 
 
 def test_decimal_table_not_built_at_import():
-    probe = "import stonelab.cli, stonelab.bits as b; print(len(b._DECIMALS))"
+    probe = "import stonelab.cli, stonelab.bits as b; print(len(b._DECIMALS), len(b._RUN_TEXTS))"
     src = str(Path(bits.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}).stdout
-    assert out == "0\n"
+    assert out == "0 0\n"
 
 
 def test_points_against_iter_bits():
@@ -128,6 +177,36 @@ def test_transpose(rows):
     for r, row in enumerate(rows):
         for c in range(WIDTH):
             assert (cols[c] >> r & 1) == (row >> c & 1)
+
+
+def _check_transpose(rows, width):
+    cols = transpose(rows, width)
+    assert len(cols) == width
+    for c, col in enumerate(cols):
+        assert col == sum((row >> c & 1) << r for r, row in enumerate(rows)), c
+
+
+def test_transpose_on_wide_and_switching_rows():
+    """Rows of 4,096 bits and more, dense and sparse; all-ones rows; a lone
+    high bit; a width above every row's length; and matrices on either side
+    of each switch: 4,096 cells with exactly one set bit in eight (digits)
+    and one bit fewer (bit loop), and dense matrices of 4,096 cells (digits)
+    and 4,095 (bit loop)."""
+    rng = random.Random(4097)
+    _check_transpose([(1 << 4096) - 1] * 3, 4096)
+    _check_transpose([rng.getrandbits(5000) for _ in range(6)], 5000)
+    _check_transpose([1 << rng.randrange(4500) for _ in range(9)], 4500)
+    _check_transpose([1 << 4999], 5000)
+    _check_transpose([0, 1 << 4095, 0], 4096)
+    _check_transpose([(1 << 30) - 1, 5, 0], 100)
+    _check_transpose([], 3)
+    for count, width in ((64, 64), (4, 1024), (512, 8)):
+        for extra in (0, -1):
+            places = rng.sample(range(count * width), count * width // 8 + extra)
+            rows = [sum(1 << p % width for p in places if p // width == r) for r in range(count)]
+            _check_transpose(rows, width)
+    for count, width in ((64, 64), (63, 65), (4096, 1), (1, 4095)):
+        _check_transpose([rng.getrandbits(width) | 1 for _ in range(count)], width)
 
 
 @seeded

@@ -458,6 +458,20 @@ class TestMalformedInput:
         f.write_bytes(b'\xff\xfe{"kind": "chain", "n": 3}')
         self.assert_rejected(capsys, *command, str(f))
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--analysis", "selection", "--in"],
+        ["combine", "--op", "duplicate", "--inputs"],
+    ])
+    def test_over_long_integer(self, tmp_path, capsys, command):
+        """json.load refuses an integer literal past the interpreter's digit
+        limit with a ValueError; the file is named instead."""
+        f = tmp_path / "long.json"
+        f.write_text('{"kind": "chain", "n": ' + "9" * 5000 + "}")
+        assert main([*command, str(f)]) == 1
+        limit = sys.get_int_max_str_digits()
+        message = f"error: {f}: integer literal longer than {limit} digits\n"
+        assert capsys.readouterr().err == message
+
     def test_nesting_bound(self, tmp_path, capsys):
         f = tmp_path / "nested.json"
         for depth, code in ((_MAX_JSON_DEPTH, 0), (_MAX_JSON_DEPTH + 1, 1)):
@@ -724,6 +738,53 @@ def expanded(obj):
 @example({"": [], "é": {}, "b": [True, False, None, 1.5, "ü\n", [1, -2], [True, 1], {}]})
 @example({"set": cli._Mask(0), "s": [cli._Mask(5), cli._Mask(1 << 700)], "l": ["a", "é"]})
 def test_report_encoder_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(expanded(payload), indent=2, sort_keys=True)
+
+
+def run_mask(runs):
+    """The mask of the runs of ones ``(start, length)``."""
+    return sum({((1 << length) - 1) << start for start, length in runs})
+
+
+# Keys that a ``%`` template or a quoting slip would mangle, and any short text.
+row_keys = st.sampled_from(["%", "%s", "%%d", '"q"', "a\\b", "é", "ü\n"]) | st.text(max_size=4)
+column_values = [
+    st.integers(-10**6, 10**6), st.text(max_size=6), st.booleans(), st.none(), st.floats(),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(8, 90)), max_size=3).map(run_mask)
+    .map(cli._Mask),
+    json_values,  # a column of mixed and nested values
+]
+
+
+@st.composite
+def row_lists(draw):
+    """Rows built from one key list, a column of one kind per key, each row's
+    keys in its own order; now and then one row with a key more or fewer."""
+    keys = draw(st.lists(row_keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(1, 5))
+    columns = [draw(st.lists(draw(st.sampled_from(column_values)), min_size=count, max_size=count))
+               for _ in keys]
+    rows = [dict(draw(st.permutations(list(zip(keys, values))))) for values in zip(*columns)]
+    odd = draw(st.sampled_from([None, "drop", "add"]))
+    if odd:
+        row = rows[draw(st.integers(0, count - 1))]
+        if odd == "drop":
+            del row[keys[0]]
+        else:
+            row[draw(row_keys.filter(lambda k: k not in keys))] = draw(json_values)
+    return rows
+
+
+@settings(derandomize=True, max_examples=300)
+@given(row_lists())
+@example([{"set": cli._Mask(0), "label": "%s"}])
+@example([{"v": cli._Mask(run_mask([(0, 24), (48, 24), (200, 9)]))}, {"v": cli._Mask(1)}])
+@example([{"a": 1, "b": [1, 2]}, {"b": {"c": None}, "a": True}, {"a": 1.5, "b": "x"}])
+@example([{"a": 1}, {"b": 1}])
+@example([{"a": 1, "m": cli._Mask(255)}, {"a": "x", "m": [3]}])
+def test_row_lists_match_json_dumps(rows):
+    payload = {"rows": rows, "nested": [{"inner": rows}]}
+    assert _json(rows) == json.dumps(expanded(rows), indent=2, sort_keys=True)
     assert _json(payload) == json.dumps(expanded(payload), indent=2, sort_keys=True)
 
 

@@ -61,6 +61,12 @@ STRUCTURES["bare integer"] = small_ints  # a chain
 STRUCTURES["non-object"] = st.lists(values, max_size=3) | scalars
 STRUCTURES["no kind"] = st.dictionaries(
     st.sampled_from(sorted({f for shapes in FIELDS.values() for f in shapes})), values, max_size=3)
+# An integer literal past the interpreter's digit limit, in any field: json.dumps
+# cannot write one, so the file text swaps it in for the placeholder LONG.
+LONG = "<long integer>"
+STRUCTURES["over-long integer"] = st.sampled_from(
+    [(kind, field) for kind, shapes in FIELDS.items() for field in shapes]
+).map(lambda kind_field: {"kind": kind_field[0], kind_field[1]: LONG})
 
 # Each command takes the structure file as its last argument.
 COMMANDS = (
@@ -81,7 +87,7 @@ def structure_file(tmp_path_factory):
 @given(data=st.data())
 def test_every_command_ends_cleanly(structure_file, shape, data):
     structure = data.draw(STRUCTURES[shape], label="structure")
-    structure_file.write_text(json.dumps(structure))
+    structure_file.write_text(json.dumps(structure).replace(json.dumps(LONG), "9" * 5000))
     for command in COMMANDS:
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
