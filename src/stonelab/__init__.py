@@ -37,11 +37,9 @@ from .families import (
     SeparatingFamily,
     family_from_elements,
     family_from_sets,
-    is_point_finite,
     is_t0_separating,
     order_at,
     order_profile,
-    point_finiteness_bound,
     selection_value,
 )
 from .freealg import (

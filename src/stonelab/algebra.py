@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, signature_classes, transpose
+from .bits import points, signature_classes, transpose
 from .errors import ATOMS, ELEMENTS, AlgebraMismatchError, ValidationError
 
 
@@ -140,7 +140,7 @@ class Element:
         return self.bits.bit_count()
 
     def atoms(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
+        return points(self.bits)
 
     def __repr__(self):
         return f"Element({{{','.join(map(str, self.atoms()))}}}/{self.algebra.atom_count})"
@@ -190,20 +190,8 @@ class SubalgebraPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def subalgebra_size(self) -> int:
-        return 1 << len(self.blocks)
-
     def is_full(self) -> bool:
         return len(self.blocks) == self.atom_count
-
-    def contains_mask(self, mask: int) -> bool:
-        """Whether a subset of atoms is a union of blocks."""
-        for b in self.blocks:
-            inter = mask & b
-            if inter and inter != b:
-                return False
-        return True
 
 
 def generated_subalgebra(algebra: FiniteBooleanAlgebra, generators) -> SubalgebraPartition:

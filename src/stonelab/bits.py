@@ -10,10 +10,12 @@ Wide masks are cheaper to read through their ``bin()`` digits than bit by
 bit, because the bit loop copies the whole int once per set bit.  Where each
 kernel switches:
 
-* ``index_text`` (and ``indices``, ``set_label``): a sparse mask, with fewer
-  than one bit in eight set, takes the bit loop; a dense one with few runs,
-  at least 16 set bits per run of ones, is sliced run by run out of a
-  per-separator text of every index (``index_text`` only); any other dense
+* ``points``: a mask of up to 64 bits is joined from per-byte index tables;
+  a wider one takes the bit loop when sparse, with fewer than one bit in
+  eight set, and picks its indices with ``itertools.compress`` when dense.
+* ``index_text`` (and ``set_label``): a sparse mask takes the bit loop; a
+  dense one with few runs, at least 16 set bits per run of ones, is sliced
+  run by run out of a per-separator text of every index; any other dense
   mask picks its decimals out of a table with ``itertools.compress``.
 * ``transpose``: a matrix of at least 4,096 cells with one bit in eight set
   is padded to the width as digits and read back column by column; smaller
@@ -33,7 +35,7 @@ _DECIMALS: tuple[str, ...] = ()
 # least), the index tuple of each byte value with 8 * p added; grown like
 # _DECIMALS
 _POINT_TABLES: tuple[tuple[tuple[int, ...], ...], ...] = ()
-_POINT_TABLE_BYTES = 8  # masks past 64 bits take the bit loop
+_POINT_TABLE_BYTES = 8  # masks past 64 bits take the bit loop or compress
 # Per separator, the text "0{sep}1{sep}..." up to the widest run-path mask
 # written with it so far, and where each str(i) starts in it (one start past
 # the last index too); grown like _DECIMALS
@@ -62,14 +64,18 @@ def points(mask: int) -> tuple[int, ...]:
     """``tuple(iter_bits(mask))``, joined from per-byte index tables.
 
     The bit loop copies the whole int once per set bit; the tables make a
-    mask of up to 64 bits a handful of tuple joins.
+    mask of up to 64 bits a handful of tuple joins, and a wider dense mask
+    is read once through its ``bin()`` digits.
     """
     tables = _POINT_TABLES or _point_tables(2)
     if mask < 0x10000:
         return tables[0][mask & 255] + tables[1][mask >> 8]
     size = (mask.bit_length() + 7) >> 3
     if size > _POINT_TABLE_BYTES:
-        return tuple(iter_bits(mask))
+        if mask.bit_count() * 8 < mask.bit_length():
+            return tuple(iter_bits(mask))
+        flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+        return tuple(compress(range(len(flags)), flags))
     if len(tables) < size:
         tables = _point_tables(size)
     return sum(map(tuple.__getitem__, tables, mask.to_bytes(size, "little")), ())
@@ -83,26 +89,6 @@ def _point_tables(size: int):
         tuple(tuple(8 * p + i for i in range(8) if byte >> i & 1) for byte in range(256))
         for p in range(len(held), size))
     return _POINT_TABLES
-
-
-def _dense_flags(mask: int) -> bytes | None:
-    """Bit i of ``mask`` as byte i (0 or 1), or None for a sparse mask.
-
-    Reading the ``bin()`` text costs one pass over the width, where the bit
-    loop copies the whole int once per set bit; the loop still wins when
-    fewer than one bit in eight is set, as for a lone high bit.
-    """
-    if mask.bit_count() * 8 < mask.bit_length():
-        return None
-    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
-
-
-def indices(mask: int) -> list[int]:
-    """``list(iter_bits(mask))``."""
-    flags = _dense_flags(mask)
-    if flags is None:
-        return list(iter_bits(mask))
-    return list(compress(range(len(flags)), flags))
 
 
 def index_text(mask: int, sep: str = ",") -> str:
@@ -235,6 +221,17 @@ def signature_classes(signatures) -> list[int]:
         else:
             classes[sig] = 1 << p
     return list(classes.values())
+
+
+def unseparated_pair(signatures) -> tuple[int, int] | None:
+    """The least pair x < y of indices with equal signatures, or None when
+    all differ: the two least indices of the first class of
+    ``signature_classes`` with two or more."""
+    if len(set(signatures)) == len(signatures):
+        return None
+    cls = next(cls for cls in signature_classes(signatures) if cls & (cls - 1))
+    rest = cls & (cls - 1)
+    return (cls ^ rest).bit_length() - 1, (rest & -rest).bit_length() - 1
 
 
 def extend_cells(cells, b: int):

@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from . import dot as dotmod
-from .algebra import FiniteBooleanAlgebra, generates_whole
-from .bits import index_text, indices
+from .algebra import FiniteBooleanAlgebra
+from .bits import index_text, points
 from .combinators import (
     PointedSystem,
     PorcupineSpec,
@@ -161,12 +161,9 @@ def _integer(data: dict, what: str, *keys: str) -> int:
     value = next((data[k] for k in keys if data.get(k) is not None), None)
     if value is None:
         raise ValidationError(f"{what} needs '{keys[0]}'")
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{what} '{keys[0]}' must be an integer, got {value!r}"
-        ) from None
+    if not _is_int(value):
+        raise ValidationError(f"{what} '{keys[0]}' must be an integer, got {value!r}")
+    return value
 
 
 class Takes(NamedTuple):
@@ -410,7 +407,7 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def human_view(payload: dict, indent: int = 0) -> str:
+def human_view(payload: dict) -> str:
     lines = []
 
     def walk(obj, depth):
@@ -419,7 +416,7 @@ def human_view(payload: dict, indent: int = 0) -> str:
             for key in sorted(obj):
                 value = obj[key]
                 if type(value) is _Mask:
-                    value = indices(value)
+                    value = list(points(value))
                 if isinstance(value, (dict, list)):
                     lines.append(f"{pad}{key}:")
                     walk(value, depth + 1)
@@ -432,7 +429,7 @@ def human_view(payload: dict, indent: int = 0) -> str:
                 else:
                     lines.append(f"{pad}- {value}")
 
-    walk(payload, indent)
+    walk(payload, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -465,12 +462,12 @@ def _selection(args, structure):
     algebra = FiniteBooleanAlgebra(pool.points.size, cap=args.cap_atoms)
     elements = [algebra.element(m.bits) for m in pool.candidates]
     value, witness = selection_value(algebra, elements)
-    family = SeparatingFamily(pool.points, pool.candidates)
+    family = _family_payload(SeparatingFamily(pool.points, pool.candidates))
     results = {
         "selection_value": value,
         "witness_atom": witness.atom,
-        "generates_whole": generates_whole(algebra, elements),
-        "family": _family_payload(family),
+        "generates_whole": family["t0_separating"],
+        "family": family,
     }
     notes = [
         "selection value = max over atoms of the number of pool members containing it",

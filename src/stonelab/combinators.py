@@ -13,7 +13,7 @@ from typing import Optional
 
 from .bits import iter_bits, transpose
 from .errors import PRODUCT_POINTS, LintWarning, ValidationError
-from .families import Member, PointSet, SeparatingFamily, is_t0_separating
+from .families import Member, PointSet, SeparatingFamily, family_from_sets, is_t0_separating
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,11 @@ class PointedSystem:
         return self.points.size
 
 
-def system_from_sets(size: int, sets, labels=None, member_labels=None,
-                     base_point=None) -> PointedSystem:
-    pts = PointSet(size, tuple(labels) if labels else None)
-    members = []
-    for i, s in enumerate(sets):
-        mask = s if isinstance(s, int) else sum(1 << p for p in set(s))
-        lab = member_labels[i] if member_labels else f"U{i}"
-        members.append(Member(lab, mask))
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), base_point)
+def system_from_sets(size: int, sets) -> PointedSystem:
+    """The system over ``size`` unlabeled points whose family is
+    ``families.family_from_sets`` of ``sets``."""
+    pts = PointSet(size)
+    return PointedSystem(pts, family_from_sets(pts, sets))
 
 
 def singleton_system(size: int) -> PointedSystem:

@@ -29,9 +29,9 @@ def hasse_dot(space: SetSpace, name: str = "hasse") -> str:
     return "\n".join(lines) + "\n"
 
 
-def forest_dot(forest, name: str = "forest") -> str:
+def forest_dot(forest) -> str:
     """Parent edges of a forest, roots at the top."""
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+    lines = ["digraph forest {", "  rankdir=TB;"]
     for t in range(forest.size):
         lines.append(f'  n{t} [label="{t}"];')
     for t, p in enumerate(forest.parent):
@@ -41,9 +41,9 @@ def forest_dot(forest, name: str = "forest") -> str:
     return "\n".join(lines) + "\n"
 
 
-def bipartite_dot(family: SeparatingFamily, name: str = "membership") -> str:
+def bipartite_dot(family: SeparatingFamily) -> str:
     """Generator-membership bipartite graph of a family over its points."""
-    lines = [f"graph {name} {{", "  rankdir=LR;"]
+    lines = ["graph membership {", "  rankdir=LR;"]
     for p in range(family.points.size):
         lines.append(
             f'  p{p} [label="{_escape(family.points.label(p))}", shape=circle];'

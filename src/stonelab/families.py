@@ -11,12 +11,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter, generates_whole
-from .bits import iter_bits, set_label, signature_classes, supersets, transpose
-from .errors import LintWarning, ValidationError
+from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter
+from .bits import set_label, supersets, transpose, unseparated_pair
+from .errors import AlgebraMismatchError, LintWarning, ValidationError
 
 
 @dataclass(frozen=True)
@@ -191,20 +190,12 @@ def point_signatures(family: SeparatingFamily) -> tuple[int, ...]:
 def is_t0_separating(family: SeparatingFamily) -> T0Result:
     """Exact pairwise separation check via per-point membership patterns.
 
-    Two points are separated by some member iff their patterns differ, so a
-    class of equal patterns with two points yields a witness pair.
-    Deterministic: the witness is the first colliding pair in point order,
-    the two least points of the class whose second point is least.
+    Two points are separated by some member iff their patterns differ.
+    Deterministic: the witness is the least unseparated pair x < y, as
+    ``bits.unseparated_pair`` picks it.
     """
-    sigs = point_signatures(family)
-    if len(set(sigs)) == len(sigs):
-        return T0Result(True, None)
-    pairs = [
-        tuple(islice(iter_bits(cls), 2))
-        for cls in signature_classes(sigs)
-        if cls & (cls - 1)
-    ]
-    return T0Result(False, min(pairs, key=lambda pair: pair[1]))
+    pair = unseparated_pair(point_signatures(family))
+    return T0Result(pair is None, pair)
 
 
 def order_profile(family: SeparatingFamily) -> OrderProfile:
@@ -220,24 +211,17 @@ def selection_value(algebra: FiniteBooleanAlgebra, generators: Sequence[Element]
     Equals the maximum point order of G viewed as a family over the atoms.
     Warns when G does not generate the algebra.
     """
-    if not generates_whole(algebra, generators):
+    if any(g.algebra != algebra for g in generators):
+        raise AlgebraMismatchError("algebra mismatch")
+    patterns = transpose([g.bits for g in generators], algebra.atom_count)
+    if unseparated_pair(patterns) is not None:
         warnings.warn(
             "generator set does not generate the whole algebra; "
             "selection value computed anyway",
             LintWarning,
             stacklevel=2,
         )
-    patterns = transpose([g.bits for g in generators], algebra.atom_count)
     orders = [sig.bit_count() for sig in patterns]
     best_value = max(orders)
     return SelectionResult(best_value, Ultrafilter(algebra, orders.index(best_value)))
 
-
-def point_finiteness_bound(family: SeparatingFamily) -> int:
-    """Largest point order; the point-finiteness measure of the family."""
-    return order_profile(family).max_order
-
-
-def is_point_finite(family: SeparatingFamily) -> bool:
-    """Always true: every family over a finite point set is point-finite."""
-    return True

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 import random
 
-from .errors import ValidationError
+from .bits import points
+from .errors import AlgebraMismatchError, ValidationError
 
 DEFAULT_GENERATOR_CAP = 16
 
@@ -28,12 +29,12 @@ class FreeAlgebra:
 
     __slots__ = ("generator_count", "table_mask")
 
-    def __init__(self, generator_count: int, cap: int = DEFAULT_GENERATOR_CAP):
+    def __init__(self, generator_count: int):
         if not isinstance(generator_count, int) or isinstance(generator_count, bool):
             raise ValidationError("generator_count must be an integer")
-        if not 1 <= generator_count <= cap:
+        if not 1 <= generator_count <= DEFAULT_GENERATOR_CAP:
             raise ValidationError(
-                f"generator_count must be in [1, {cap}]"
+                f"generator_count must be in [1, {DEFAULT_GENERATOR_CAP}]"
             )
         self.generator_count = generator_count
         self.table_mask = (1 << (1 << generator_count)) - 1
@@ -98,7 +99,7 @@ class FreeElement:
 
     def _check(self, other):
         if self.algebra != other.algebra:
-            raise ValidationError("algebra mismatch")
+            raise AlgebraMismatchError("algebra mismatch")
 
     def meet(self, other: "FreeElement") -> "FreeElement":
         self._check(other)
@@ -122,9 +123,6 @@ class FreeElement:
     def is_zero(self) -> bool:
         return self.table == 0
 
-    def satisfied_by(self, assignment_bits: int) -> bool:
-        return bool(self.table >> assignment_bits & 1)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -135,9 +133,7 @@ class Assignment:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.generator_count) if self.bits >> i & 1
-        )
+        return points(self.bits)
 
     @property
     def support_size(self) -> int:
@@ -174,18 +170,17 @@ class DensityReport:
     failures: tuple
 
 
-def dense_small_support_check(s: int, exhaustive_cap: int = 4,
-                              samples: int = 500, seed: int = 0) -> DensityReport:
+def dense_small_support_check(s: int, samples: int = 500, seed: int = 0) -> DensityReport:
     """For every nonzero basic clopen set, the minimal support inside it is
     exactly sigma.
 
-    Exhaustive over all disjoint (sigma, tau) pairs for s <= exhaustive_cap,
+    Exhaustive over all disjoint (sigma, tau) pairs for s <= 4,
     seeded sampling above.
     """
     alg = FreeAlgebra(s)
     failures = []
     checked = 0
-    exhaustive = s <= exhaustive_cap
+    exhaustive = s <= 4
 
     def check(sigma, tau):
         nonlocal checked

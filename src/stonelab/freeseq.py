@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .algebra import Element, FiniteBooleanAlgebra
 from .bits import extend_cells, is_free, iter_bits, transpose
 from .combinators import PointedSystem
-from .errors import SIGMA_NODES, ValidationError
+from .errors import SIGMA_NODES, AlgebraMismatchError, ValidationError
 from .trees import FiniteForest, sigma_system
 
 DEFAULT_POOL_ATOM_CAP = 5
@@ -45,7 +45,7 @@ class FreeSequence:
 def _check_terms(algebra: FiniteBooleanAlgebra, terms):
     for t in terms:
         if t.algebra != algebra:
-            raise ValidationError("algebra mismatch")
+            raise AlgebraMismatchError("algebra mismatch")
 
 
 def is_free_sequence(algebra: FiniteBooleanAlgebra, terms: Sequence[Element]) -> bool:
@@ -182,7 +182,6 @@ class SigmaTree:
     """
 
     algebra: FiniteBooleanAlgebra
-    pool_labels: tuple[str, ...]
     pool_bits: tuple[int, ...]
     nodes: tuple[tuple[int, ...], ...]
     depth_bound: Optional[int]
@@ -203,8 +202,7 @@ class SigmaTree:
 
 def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
                depth_bound: Optional[int] = None,
-               node_cap: int = SIGMA_NODES.default,
-               labels=None) -> SigmaTree:
+               node_cap: int = SIGMA_NODES.default) -> SigmaTree:
     """Build the tree of all free sequences with terms from the pool.
 
     Nodes come in preorder, children by increasing pool index.  Each node
@@ -215,21 +213,11 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
     """
     pool = list(pool)
     _check_terms(algebra, pool)
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(pool))]
-    seen = set()
-    bits = []
-    kept_labels = []
-    for e, lab in zip(pool, labels):  # equal elements give the same sequences
-        if e.bits not in seen:
-            seen.add(e.bits)
-            bits.append(e.bits)
-            kept_labels.append(lab)
-    labels = kept_labels
+    bits = list(dict.fromkeys(e.bits for e in pool))  # equal elements give the same sequences
     limit = depth_bound if depth_bound is not None else algebra.atom_count - 1
     nodes = list(islice(_free_sequences(bits, algebra.full_mask, limit), node_cap + 1))
     SIGMA_NODES.check(len(nodes), node_cap)
-    return SigmaTree(algebra, tuple(labels), tuple(bits), tuple(nodes), depth_bound)
+    return SigmaTree(algebra, tuple(bits), tuple(nodes), depth_bound)
 
 
 def sigma_squared(tree: SigmaTree) -> PointedSystem:

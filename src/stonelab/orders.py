@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, supersets, transpose, upper_covers
+from .bits import iter_bits, points, supersets, transpose, upper_covers
 from .errors import (POSET_POINTS, SEMILATTICE_POINTS, UPSETS, CapExceededError,
                      OracleMismatchError, ValidationError)
 from .families import Member, SeparatingFamily, SetSpace
@@ -149,11 +149,6 @@ def final_segments(poset: FinitePoset, cap: int = POSET_POINTS.default,
     return FinalSegmentLattice(poset.size, tuple(masks), poset)
 
 
-def generator_mask(lattice: FinalSegmentLattice, p: int) -> int:
-    """a_p over FS(P): the segments containing p, as a point mask."""
-    return lattice.generators[p]
-
-
 def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
     """Points FS(P) with the canonical family {a_p : p in P}.
 
@@ -216,7 +211,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
             raise OracleMismatchError(
                 f"prime filter minimum {lattice.label(a)} is not of the form [p,->)"
             )
-        primes.append(PrimeFilterInfo(tuple(iter_bits(fmask)), a, base))
+        primes.append(PrimeFilterInfo(points(fmask), a, base))
 
     bases = sorted(pf.poset_element for pf in primes)
     if bases != list(range(lattice.poset.size)):
@@ -253,7 +248,7 @@ def discrete_witness(poset: FinitePoset, p: int) -> DiscreteWitness:
     hits = poset.down[p] & ~shadow
     if hits != 1 << p:
         raise OracleMismatchError(
-            f"tau_{p} does not isolate a_{p}: hits {list(iter_bits(hits))}"
+            f"tau_{p} does not isolate a_{p}: hits {list(points(hits))}"
         )
     return DiscreteWitness(p, tau)
 
@@ -317,9 +312,6 @@ class MeetSemilattice:
 
     def leq(self, i: int, j: int) -> bool:
         return self.table[i][j] == i
-
-    def up_mask(self, i: int) -> int:
-        return self.up[i]
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,12 @@ path space, and the clopen filters over a semilattice's filter lattice.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from operator import mul
 
 from .algebra import FiniteBooleanAlgebra
-from .bits import iter_bits, points, set_label, signature_classes, transpose
+from .bits import points, set_label, transpose, unseparated_pair
 from .errors import (EXACT_CANDIDATES, EXACT_POINTS, FREE_POOL_ATOMS, PoolInsufficientError,
                      ValidationError)
 from .families import (
@@ -89,7 +87,6 @@ class SolveResult:
     family: SeparatingFamily
     exact: bool
     nodes_explored: int
-    elapsed: float  # wall seconds; excluded from canonical reports
 
 
 # struct codes of the little-endian score fields, by their size in bytes
@@ -125,13 +122,7 @@ class _Kernel:
                 self.bits.append(c.bits)
         # per point: mask of the candidates containing it
         self.contains = transpose(self.bits, n)
-        # The classes of the partition under every candidate, by least
-        # point; the first one left unsplit gives the least unseparated pair.
-        self.unseparated = next(
-            (tuple(islice(iter_bits(cls), 2))
-             for cls in signature_classes(self.contains) if cls & (cls - 1)),
-            None,
-        )
+        self.unseparated = unseparated_pair(self.contains)
 
     @cached_property
     def cov(self) -> list[list[int]]:
@@ -355,7 +346,6 @@ def min_max_order(pool: GeneratorPool, mode: str = "exact",
     found family's max order, until a budget is refuted; nodes_explored
     counts the nodes of those decision runs.
     """
-    start = time.perf_counter()
     if mode == "exact":
         EXACT_POINTS.check(pool.points.size, max_points)
         EXACT_CANDIDATES.check(pool.size, max_pool)
@@ -367,7 +357,7 @@ def min_max_order(pool: GeneratorPool, mode: str = "exact",
     family = _family_of(pool, chosen)
     value = order_profile(family).max_order if chosen else 0
     if mode == "greedy":
-        return SolveResult(value, family, False, len(chosen), time.perf_counter() - start)
+        return SolveResult(value, family, False, len(chosen))
     nodes = 0
     while value > 0:
         res = decision_max_order_at_most(pool, value - 1)
@@ -379,7 +369,7 @@ def min_max_order(pool: GeneratorPool, mode: str = "exact",
         if order >= value:  # a broken budget would stall the descent
             raise AssertionError(f"decision at budget {value - 1} gave max order {order}")
         value = order
-    return SolveResult(value, family, True, nodes, time.perf_counter() - start)
+    return SolveResult(value, family, True, nodes)
 
 
 def preset_pool(kind: str, structure) -> GeneratorPool:

@@ -58,9 +58,6 @@ class FiniteForest:
     def chain(cls, n: int) -> "FiniteForest":
         return cls([None] + list(range(n - 1)) if n else [])
 
-    def roots(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parent) if p is None)
-
     def depth(self, t: int) -> int:
         """Number of nodes on the path from the root to t, inclusive."""
         return self.ancestors[t].bit_count() + 1

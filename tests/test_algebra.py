@@ -94,19 +94,11 @@ class TestGeneratedSubalgebra:
         B = alg(3)
         part = generated_subalgebra(B, [])
         assert part.blocks == (0b111,)
-        assert part.subalgebra_size == 2
 
     def test_single_full_set_trivial(self):
         B = alg(2)
         part = generated_subalgebra(B, [B.element([0, 1])])
         assert part.block_count == 1
-
-    def test_contains_mask(self):
-        B = alg(4)
-        part = generated_subalgebra(B, [B.element([0, 1])])
-        assert part.contains_mask(0b0011)
-        assert part.contains_mask(0b1100)
-        assert not part.contains_mask(0b0001)
 
 
 class TestGeneratesWhole:

@@ -9,13 +9,12 @@ from pathlib import Path
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stonelab import FiniteBooleanAlgebra, bits
 from stonelab.bits import (
     extend_cells,
     index_text,
-    indices,
     is_free,
     iter_bits,
     points,
@@ -23,13 +22,14 @@ from stonelab.bits import (
     signature_classes,
     supersets,
     transpose,
+    unseparated_pair,
     upper_covers,
 )
 from stonelab.oracles import is_free_sequence_naive
 
 ORACLES = Path(__file__).resolve().parents[1] / "src" / "stonelab" / "oracles.py"
-KERNEL_NAMES = {"iter_bits", "indices", "index_text", "set_label", "transpose", "supersets", "upper_covers",
-                "signature_classes", "is_free", "_Kernel", "_kernel"}
+KERNEL_NAMES = {"iter_bits", "index_text", "set_label", "transpose", "supersets", "upper_covers",
+                "signature_classes", "unseparated_pair", "is_free", "_Kernel", "_kernel"}
 
 seeded = settings(derandomize=True)
 WIDTH = 7
@@ -50,7 +50,7 @@ def test_iter_bits_and_label(mask):
 
 def _check_index_kernels(mask):
     listed = list(iter_bits(mask))
-    assert indices(mask) == listed
+    assert list(points(mask)) == listed
     for sep in (",", ",\n    ", ""):
         assert index_text(mask, sep) == sep.join(map(str, listed))
     assert set_label(mask) == "{" + ",".join(map(str, listed)) + "}"
@@ -141,10 +141,14 @@ def test_decimal_table_not_built_at_import():
 
 def test_points_against_iter_bits():
     """Zero, each width 1..70 (all ones, the top bit alone, random fill),
-    lone bits either side of the 64-bit table cap, and masks past it."""
+    lone bits either side of the 64-bit table cap, and masks past it: all
+    ones, a lone bit at 65,536, and at widths 800 and 4,096 one bit in
+    eight set (compress) and one bit fewer (bit loop)."""
     rng = random.Random(70)
     masks = [0, 1 << 63, 1 << 64, 1 << 65, (1 << 64) - 1, (1 << 65) - 1, (1 << 4096) - 1,
-             1 << 4096 | 1, rng.getrandbits(600)]
+             1 << 4096 | 1, rng.getrandbits(600), 1 << 65536]
+    for width in (800, 4096):
+        masks += [_with_top_bit(rng, width, width // 8 + d) for d in (-1, 0)]
     for width in range(1, 71):
         top = 1 << width - 1
         masks += [(1 << width) - 1, top] + [top | rng.getrandbits(width - 1) for _ in range(20)]
@@ -243,6 +247,15 @@ def test_signature_classes(signatures):
     expected = sorted((sum(1 << p for p in ps) for ps in groups.values()),
                       key=lambda cls: cls & -cls)
     assert signature_classes(signatures) == expected
+
+
+@seeded
+@given(masks)
+@example([3, 5, 5, 3])  # the least pair is (0, 3), not the pair (1, 2) closed first
+def test_unseparated_pair(signatures):
+    pairs = [(x, y) for y in range(len(signatures)) for x in range(y)
+             if signatures[x] == signatures[y]]
+    assert unseparated_pair(signatures) == min(pairs, default=None)
 
 
 @settings(max_examples=300, derandomize=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stonelab import ValidationError, cli, selftest
-from stonelab.bits import indices, iter_bits
+from stonelab.bits import iter_bits, points
 from stonelab.cli import (
     _MAX_FORMULA_DEPTH,
     _MAX_JSON_DEPTH,
@@ -125,6 +125,21 @@ class TestSolve:
         code, rep = run_json(capsys, "solve", "--in", str(f))
         assert code == 0
         assert rep["results"]["value"] == 1  # A and B separate all three points
+
+    def test_solve_and_selection_name_the_same_pair(self, tmp_path, capsys):
+        # points 0 and 5 share a pattern, and so do 1 and 2: the least pair is (0, 5)
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({
+            "kind": "system", "points": 6,
+            "members": [{"set": [0, 5]}, {"set": [3]}, {"set": [4]}],
+        }))
+        assert main(["solve", "--in", str(f)]) == 1
+        assert "pool cannot separate points 0 and 5" in capsys.readouterr().err
+        code, rep = run_json(capsys, "analyze", "--in", str(f), "--analysis", "selection",
+                             "--pool", "free")
+        assert code == 0
+        assert rep["results"]["family"]["unseparated_pair"] == [0, 5]
+        assert rep["results"]["generates_whole"] is False
 
     def test_greedy_flagged(self, capsys):
         code, rep = run_json(
@@ -385,7 +400,9 @@ class TestMalformedInput:
         {"labels": 5},
         {"base_point": "a"},
         {"kind": "chain", "n": "x"},
+        {"kind": "chain", "n": True},
         {"kind": "algebra", "atoms": "x"},
+        {"kind": "algebra", "atoms": 2.5},
         {"kind": "free", "generators": "x"},
         {"kind": "poset", "size": "x"},
         {"kind": "poset", "size": 2, "le": [[0]]},
@@ -840,7 +857,7 @@ def test_indices_match_iter_bits():
         for ones in (width // 8 - 1, width // 8, width // 8 + 1, width // 2, width):
             masks += [sum(1 << p for p in rng.sample(range(width), ones)) for _ in range(3)]
     for mask in masks:
-        assert indices(mask) == list(iter_bits(mask))
+        assert points(mask) == tuple(iter_bits(mask))
 
 
 class TestLintNotes:

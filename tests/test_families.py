@@ -31,11 +31,9 @@ from stonelab.families import (
     SetSpace,
     family_from_elements,
     family_from_sets,
-    is_point_finite,
     is_t0_separating,
     order_at,
     order_profile,
-    point_finiteness_bound,
     point_signatures,
     selection_value,
 )
@@ -156,19 +154,14 @@ class TestSelectionValue:
 
 class TestPointFiniteness:
     def test_singletons(self):
-        assert point_finiteness_bound(singletons(6)) == 1
+        assert order_profile(singletons(6)).max_order == 1
 
     def test_all_subsets_n3(self):
         f = fam(3, list(range(8)))
-        assert point_finiteness_bound(f) == 4  # each point lies in 2^(n-1) members
+        assert order_profile(f).max_order == 4  # each point lies in 2^(n-1) members
 
     def test_empty(self):
-        assert point_finiteness_bound(fam(4, [])) == 0
-
-    def test_always_point_finite(self):
-        with pytest.warns(LintWarning):
-            f = fam(3, [7, 7, 7])
-        assert is_point_finite(f)
+        assert order_profile(fam(4, [])).max_order == 0
 
 
 class TestLint:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stonelab import (
+    AlgebraMismatchError,
     FreeAlgebra,
     ValidationError,
     dense_small_support_check,
@@ -37,7 +38,7 @@ class TestBasicClopen:
         F = FreeAlgebra(4)
         g2 = F.generator(2)
         for a in range(16):
-            assert g2.satisfied_by(a) == bool(a >> 2 & 1)
+            assert g2.table >> a & 1 == a >> 2 & 1
 
 
 class TestMinSupport:
@@ -161,6 +162,13 @@ def test_validation():
         FreeAlgebra(17)
     with pytest.raises(ValidationError):
         FreeAlgebra(3).generator(3)
+
+
+def test_elements_of_two_algebras():
+    a, b = FreeAlgebra(3).generator(0), FreeAlgebra(2).generator(0)
+    for op in (a.meet, a.join, a.leq):
+        with pytest.raises(AlgebraMismatchError):
+            op(b)
 
 
 class TestTablesAgainstAssignments:

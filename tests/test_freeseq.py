@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stonelab import (
+    AlgebraMismatchError,
     CapExceededError,
     FiniteBooleanAlgebra,
     ValidationError,
@@ -48,6 +49,12 @@ class TestFreenessCheck:
         B = FiniteBooleanAlgebra(3)
         assert not is_free_sequence(B, [B.zero])
         assert not is_free_sequence(B, [B.one])
+
+    def test_term_of_another_algebra(self):
+        B, C = FiniteBooleanAlgebra(3), FiniteBooleanAlgebra(2)
+        for check in (is_free_sequence, sigma_tree):
+            with pytest.raises(AlgebraMismatchError):
+                check(B, [B.element([0]), C.element([1])])
 
     def test_naive_cap(self):
         B = FiniteBooleanAlgebra(2)

@@ -23,7 +23,7 @@ from stonelab import (
 from stonelab.bits import upper_covers
 from stonelab.families import is_t0_separating
 from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
-from stonelab.orders import compact_elements_clopen, generator_mask
+from stonelab.orders import compact_elements_clopen
 
 
 class TestPosetValidation:
@@ -137,7 +137,7 @@ class TestPosetSystem:
             for up in posets_up_to_iso(n):
                 L = final_segments(FinitePoset(up))
                 B = FiniteBooleanAlgebra(L.size)
-                gens = [B.element(generator_mask(L, p)) for p in range(n)]
+                gens = [B.element(L.generators[p]) for p in range(n)]
                 assert generated_subalgebra(B, gens).is_full()
 
     def test_orientation_is_preserving(self):
@@ -283,7 +283,7 @@ class TestPosetKernels:
     def test_orientation_against_pairwise_definition(self):
         for P, _ in small_and_random_posets():
             L = final_segments(P)
-            a = [generator_mask(L, p) for p in range(P.size)]
+            a = [L.generators[p] for p in range(P.size)]
             pairs = [(p, q) for p in range(P.size) for q in range(P.size)]
             preserving = all(P.leq(p, q) == (a[p] & ~a[q] == 0) for p, q in pairs)
             reversing = all(P.leq(p, q) == (a[q] & ~a[p] == 0) for p, q in pairs)
@@ -327,7 +327,7 @@ class TestMeetSemilattice:
         for n in range(1, 6):
             M = MeetSemilattice.chain(n)
             L = filters(M)
-            expected = {0} | {M.up_mask(i) for i in range(n)}
+            expected = {0} | {M.up[i] for i in range(n)}
             assert set(L.filters) == expected
 
     def test_filters_equal_meet_closed_upsets(self):
