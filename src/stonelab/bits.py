@@ -61,7 +61,8 @@ def iter_bits(mask: int):
 
 
 def points(mask: int) -> tuple[int, ...]:
-    """``tuple(iter_bits(mask))``, joined from per-byte index tables.
+    """``tuple(iter_bits(mask))``, joined from per-byte index tables: the
+    index lister every other module calls.
 
     The bit loop copies the whole int once per set bit; the tables make a
     mask of up to 64 bits a handful of tuple joins, and a wider dense mask
@@ -180,7 +181,7 @@ def supersets(sets) -> list[int]:
     out = []
     for s in sets:
         up = everything
-        for e in iter_bits(s):
+        for e in points(s):
             up &= holders[e]
         out.append(up)
     return out
@@ -201,7 +202,7 @@ def upper_covers(sets) -> list[int]:
     out = []
     for above in strict:
         beyond = 0
-        for j in iter_bits(above):
+        for j in points(above):
             beyond |= strict[j]
         out.append(above & ~beyond)
     return out

@@ -30,6 +30,7 @@ from .combinators import (
     sum_with_point,
 )
 from .errors import (
+    ATOMS,
     CAPS,
     POSET_POINTS,
     SEMILATTICE_POINTS,
@@ -42,12 +43,12 @@ from .errors import (
     ValidationError,
 )
 from .families import (
+    NOT_GENERATING,
     Member,
     PointSet,
     SeparatingFamily,
     is_t0_separating,
     order_profile,
-    selection_value,
 )
 from .freealg import FreeAlgebra, FreeElement, min_support_ultrafilter
 from .freeseq import longest_free_point_sequence, longest_free_sequence
@@ -459,13 +460,13 @@ def _family_payload(family: SeparatingFamily) -> dict:
 
 def _selection(args, structure):
     pool = _pool(structure, args.pool or ("intervals" if isinstance(structure, int) else "free"))
-    algebra = FiniteBooleanAlgebra(pool.points.size, cap=args.cap_atoms)
-    elements = [algebra.element(m.bits) for m in pool.candidates]
-    value, witness = selection_value(algebra, elements)
+    ATOMS.check(pool.points.size, args.cap_atoms)
     family = _family_payload(SeparatingFamily(pool.points, pool.candidates))
+    if not family["t0_separating"]:
+        warnings.warn(NOT_GENERATING, LintWarning)
     results = {
-        "selection_value": value,
-        "witness_atom": witness.atom,
+        "selection_value": family["max_order"],
+        "witness_atom": family["argmax_points"][0],
         "generates_whole": family["t0_separating"],
         "family": family,
     }
@@ -530,9 +531,7 @@ def _modest(args, structure):
 
 def _sigma(args, structure):
     system = sigma_system(structure)
-    chain_alg = (
-        initial_chain_algebra(structure) if structure.size else None
-    )
+    chain_alg = initial_chain_algebra(structure) if structure.size else None
     results = {
         "path_count": system.points.size,
         "height": structure.height(),

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .bits import iter_bits, transpose
+from .bits import points, transpose
 from .errors import PRODUCT_POINTS, LintWarning, ValidationError
 from .families import Member, PointSet, SeparatingFamily, family_from_sets, is_t0_separating
 
@@ -80,7 +80,7 @@ def product_system(s1: PointedSystem, s2: PointedSystem,
     members = []
     for m in s1.family.members:
         mask = 0
-        for x in iter_bits(m.bits):
+        for x in points(m.bits):
             mask |= row << (x * n2)
         members.append(Member(f"lift:L:{m.label}", mask))
     col = 0
@@ -88,7 +88,7 @@ def product_system(s1: PointedSystem, s2: PointedSystem,
         col |= 1 << (i * n2)
     for m in s2.family.members:
         mask = 0
-        for y in iter_bits(m.bits):
+        for y in points(m.bits):
             mask |= col << y
         members.append(Member(f"lift:R:{m.label}", mask))
     base = None
@@ -265,12 +265,12 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     unions = []  # per index member W: the union of the fibers over W
     for w in X.family.members:
         mask = 0
-        for x in iter_bits(w.bits):
+        for x in points(w.bits):
             mask |= fiber_mask[x]
         unions.append(mask)
         members.append(Member(f"porc:V1:full:W={w.label}", mask))
     for w, union in zip(X.family.members, unions):
-        for x in iter_bits(w.bits):
+        for x in points(w.bits):
             others = union & ~fiber_mask[x]
             members.extend(
                 Member(f"porc:V1:x={x}:W={w.label}:U={u.label}", others | (u.bits << offsets[x]))
@@ -287,11 +287,11 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     # member holds all of fiber x.
     index_cols = transpose([w.bits for w in X.family.members], X.size)
     around_count = [len(a) for a in around]
-    around_sum = [sum(around_count[y] for y in iter_bits(w.bits)) for w in X.family.members]
+    around_sum = [sum(around_count[y] for y in points(w.bits)) for w in X.family.members]
     decomposition = []
     for x, f in enumerate(spec.fibers):
         v_star = index_cols[x].bit_count()
-        v_star2 = sum(around_sum[k] for k in iter_bits(index_cols[x])) - v_star * around_count[x]
+        v_star2 = sum(around_sum[k] for k in points(index_cols[x])) - v_star * around_count[x]
         v0_cols = transpose([m.bits for m in v0_local[x]], f.size)
         around_cols = transpose([u.bits for u in around[x]], f.size)
         decomposition.extend(

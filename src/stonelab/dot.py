@@ -7,7 +7,7 @@ deterministic text.
 
 from __future__ import annotations
 
-from .bits import iter_bits, upper_covers
+from .bits import points, upper_covers
 from .families import SeparatingFamily, SetSpace
 
 
@@ -24,7 +24,7 @@ def hasse_dot(space: SetSpace, name: str = "hasse") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     lines.extend(f'  n{i} [label="{_escape(label)}"];' for i, label in enumerate(space.labels))
     for i, above in enumerate(upper_covers(space.sets)):
-        lines.extend(f"  n{i} -> n{j};" for j in iter_bits(above))
+        lines.extend(f"  n{i} -> n{j};" for j in points(above))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -51,6 +51,6 @@ def bipartite_dot(family: SeparatingFamily) -> str:
     for i, m in enumerate(family.members):
         lines.append(f'  m{i} [label="{_escape(m.label)}", shape=box];')
     for i, m in enumerate(family.members):
-        lines.extend(f"  m{i} -- p{p};" for p in iter_bits(m.bits))
+        lines.extend(f"  m{i} -- p{p};" for p in points(m.bits))
     lines.append("}")
     return "\n".join(lines) + "\n"

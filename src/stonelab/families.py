@@ -101,9 +101,6 @@ class SetSpace:
     def size(self) -> int:
         return len(self.sets)
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(map(set_label, self.sets))
@@ -140,6 +137,10 @@ class T0Result(NamedTuple):
     witness: Optional[tuple[int, int]]  # one unseparated pair on failure
 
 
+# The warning of a selection whose generators leave two atoms unseparated.
+NOT_GENERATING = "generator set does not generate the whole algebra; selection value computed anyway"
+
+
 class SelectionResult(NamedTuple):
     value: int
     witness: Ultrafilter
@@ -162,16 +163,11 @@ def family_from_sets(points: PointSet, sets, prefix: str = "U") -> SeparatingFam
     return SeparatingFamily(points, tuple(members))
 
 
-def family_from_elements(algebra: FiniteBooleanAlgebra, elements: Sequence[Element],
-                         labels=None) -> SeparatingFamily:
-    """View algebra elements as a family over the atom point set."""
-    points = PointSet(algebra.atom_count)
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(elements))]
-    members = tuple(
-        Member(lab, e.bits) for lab, e in zip(labels, elements)
-    )
-    return SeparatingFamily(points, members)
+def family_from_elements(algebra: FiniteBooleanAlgebra, elements: Sequence[Element]) -> SeparatingFamily:
+    """View algebra elements as a family over the atom point set, member i
+    labeled ``g`` + i."""
+    members = tuple(Member(f"g{i}", e.bits) for i, e in enumerate(elements))
+    return SeparatingFamily(PointSet(algebra.atom_count), members)
 
 
 def order_at(family: SeparatingFamily, point: int) -> int:
@@ -215,12 +211,7 @@ def selection_value(algebra: FiniteBooleanAlgebra, generators: Sequence[Element]
         raise AlgebraMismatchError("algebra mismatch")
     patterns = transpose([g.bits for g in generators], algebra.atom_count)
     if unseparated_pair(patterns) is not None:
-        warnings.warn(
-            "generator set does not generate the whole algebra; "
-            "selection value computed anyway",
-            LintWarning,
-            stacklevel=2,
-        )
+        warnings.warn(NOT_GENERATING, LintWarning, stacklevel=2)
     orders = [sig.bit_count() for sig in patterns]
     best_value = max(orders)
     return SelectionResult(best_value, Ultrafilter(algebra, orders.index(best_value)))

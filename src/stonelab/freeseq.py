@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra
-from .bits import extend_cells, is_free, iter_bits, transpose
+from .bits import extend_cells, is_free, points, transpose
 from .combinators import PointedSystem
 from .errors import SIGMA_NODES, AlgebraMismatchError, ValidationError
 from .trees import FiniteForest, sigma_system
@@ -86,14 +86,14 @@ def _extensions(terms, full: int):
         fit = meets.get(last)
         if fit is None:
             fit = 0
-            for e in iter_bits(last):
+            for e in points(last):
                 fit |= holders[e]
             meets[last] = fit
         for d in cells:
             miss = misses.get(d)
             if miss is None:
                 inside = everything
-                for e in iter_bits(d):
+                for e in points(d):
                     inside &= holders[e]
                 miss = misses[d] = everything ^ inside
             fit &= miss

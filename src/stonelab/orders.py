@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, points, supersets, transpose, upper_covers
+from .bits import points, supersets, transpose, upper_covers
 from .errors import (POSET_POINTS, SEMILATTICE_POINTS, UPSETS, CapExceededError,
                      OracleMismatchError, ValidationError)
 from .families import Member, SeparatingFamily, SetSpace
@@ -41,7 +41,7 @@ class FinitePoset:
             if both:
                 j = (both & -both).bit_length() - 1
                 raise ValidationError(f"relation not antisymmetric at ({i},{j})")
-            for j in iter_bits(m):  # i <= j <= k must give i <= k
+            for j in points(m):  # i <= j <= k must give i <= k
                 if up[j] & ~m:
                     raise ValidationError(f"relation not transitive at ({i},{j})")
         self.size = n
@@ -69,10 +69,10 @@ class FinitePoset:
         while ready:
             i = ready.pop()
             row = 1 << i
-            for j in iter_bits(succ[i]):
+            for j in points(succ[i]):
                 row |= up[j]
             up[i] = row
-            for k in iter_bits(preds[i]):
+            for k in points(preds[i]):
                 waiting[k] -= 1
                 if not waiting[k]:
                     ready.append(k)
@@ -97,10 +97,10 @@ class FinitePoset:
     def immediate_predecessors(self, p: int) -> tuple[int, ...]:
         """Maximal elements of the strict down-set of p (lower covers)."""
         below = self.strict_down(p)
-        return tuple(q for q in iter_bits(below) if self.up[q] & below == 1 << q)
+        return tuple(q for q in points(below) if self.up[q] & below == 1 << q)
 
     def __repr__(self):
-        pairs = [(i, j) for i, m in enumerate(self.up) for j in iter_bits(m & ~(1 << i))]
+        pairs = [(i, j) for i, m in enumerate(self.up) for j in points(m & ~(1 << i))]
         return f"FinitePoset(n={self.size}, le={pairs})"
 
 
@@ -186,37 +186,30 @@ class PrimeFilterInfo:
 
 
 def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo, ...]:
-    """All prime filters of the lattice FS(P), as principal filters at its
-    join-prime elements.
+    """All prime filters of the lattice FS(P), one per point p of P: the
+    principal filter at the segment [p, ->).
 
     In a finite lattice every filter F is principal, F = up(meet F), and
     up(a) is prime exactly when a is join-prime: a is not below the join
-    of the elements x with a not below x.  Joins in FS(P) are unions, so
-    that join holds point e exactly when some segment outside up(a)
-    contains e.  The bottom is skipped, its up-set being the improper
-    filter.  Asserts that each minimum is of the form [p, ->) and that the
-    collection is in bijection with P.
+    of the elements x with a not below x.  A segment with two minimal
+    points p and q is the union of itself without p and itself without q,
+    so the only candidates are the segments with one minimal point, the
+    [p, ->).  Joins in FS(P) are unions, so [p, ->) is join-prime exactly
+    when some point e of it lies only in segments containing it.  Raises
+    when some [p, ->) fails that test: the prime filters do not biject
+    with P.
     """
-    segs = lattice.segments
     holders = lattice.generators  # holders[e]: segments holding e
-    base_of = {mask: p for p, mask in enumerate(lattice.poset.up)}
+    index = {mask: a for a, mask in enumerate(lattice.segments)}
     primes = []
-    for a, fmask in enumerate(lattice.up):
-        if not segs[a]:
-            continue
-        if not any(holders[e] & ~fmask == 0 for e in iter_bits(segs[a])):
-            continue  # a lies below the join of the segments outside up(a)
-        base = base_of.get(segs[a])
-        if base is None:
-            raise OracleMismatchError(
-                f"prime filter minimum {lattice.label(a)} is not of the form [p,->)"
-            )
-        primes.append(PrimeFilterInfo(points(fmask), a, base))
-
-    bases = sorted(pf.poset_element for pf in primes)
-    if bases != list(range(lattice.poset.size)):
-        raise OracleMismatchError("prime filters do not biject with the poset")
-    primes.sort(key=lambda pf: pf.poset_element)
+    for p, seg in enumerate(lattice.poset.up):
+        elements = points(seg)
+        fmask = -1  # the segments containing seg: those holding each e in it
+        for e in elements:
+            fmask &= holders[e]
+        if not any(holders[e] & ~fmask == 0 for e in elements):
+            raise OracleMismatchError("prime filters do not biject with the poset")
+        primes.append(PrimeFilterInfo(points(fmask), index[seg], p))
     return tuple(primes)
 
 

@@ -321,6 +321,25 @@ def test_oracles_stay_off_the_kernels():
             assert node.attr not in KERNEL_NAMES, ast.dump(node)
 
 
+def test_only_bits_names_iter_bits():
+    """``points`` is the one index lister outside ``bits``: the bit loop
+    copies the whole int once per set bit, so other modules reach it only
+    through ``points``' sparse branch."""
+    for path in ORACLES.parent.glob("*.py"):
+        if path.name == "bits.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            assert name != "iter_bits", (path.name, ast.dump(node))
+
+
 def test_only_selftest_imports_the_oracles():
     """The CLI loads ``selftest``, and so the oracles, only when that
     subcommand runs; an implementation module that imported them would put

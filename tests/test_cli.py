@@ -568,6 +568,28 @@ class TestLargeInputs:
         if n == 6:
             assert elapsed < 1.0
 
+    def test_antichain_duality_under_memory_limit(self):
+        """The 16-antichain duality in a child whose address space is
+        limited to 256 MB (``RLIMIT_AS``, set in the child only).  The run
+        peaks near 53 MB resident, so the limit leaves the interpreter and
+        its libraries ample room; an m x m matrix over the 2^16 segments
+        would need 512 MB alone, so a run that builds one ends in a
+        MemoryError under it."""
+        import resource
+
+        limit = 256 << 20
+        src = str(Path(cli.__file__).parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stonelab", "analyze", "--kind", "poset", "--size", "16",
+             "--analysis", "duality"],
+            capture_output=True, text=True, env={"PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert json.loads(proc.stdout)["results"]["prime_filter_count"] == 16
+        assert elapsed < 3.0
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--analysis", "duality"],
         ["solve", "--pool", "upsets"],
@@ -893,6 +915,23 @@ class TestLintNotes:
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == self.NOTES
         json.loads(proc.stdout)
+
+    def test_selection_notes(self, tmp_path, capsys):
+        """A selection pool with a duplicate member that leaves two points
+        unseparated: the duplicate note, then the non-generating one."""
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps({"kind": "system", "points": 3,
+                                 "members": [{"set": [0]}, {"set": [0]}]}))
+        assert main(["analyze", "--analysis", "selection", "--pool", "free", "--in", str(f)]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            self.NOTES[0],
+            "warning: generator set does not generate the whole algebra; "
+            "selection value computed anyway"]
+        results = json.loads(out)["results"]
+        assert results["generates_whole"] is False
+        assert results["selection_value"] == 2
+        assert results["witness_atom"] == 0
 
     def test_notes_repeat_across_in_process_calls(self, tmp_path, capsys):
         f = tmp_path / "sys.json"

@@ -204,7 +204,6 @@ class TestSetSpace:
             for s in space.sets
         )
         assert space.labels == literal
-        assert [space.label(i) for i in range(space.size)] == list(literal)
         assert space.points == PointSet(len(space.sets), literal)
 
     @given(set_spaces())
