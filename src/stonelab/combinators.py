@@ -60,15 +60,14 @@ def _warn_if_not_t0(system: PointedSystem, role: str):
         )
 
 
-def product_system(s1: PointedSystem, s2: PointedSystem,
-                   cap: int = PRODUCT_POINTS.default) -> PointedSystem:
+def product_system(s1: PointedSystem, s2: PointedSystem) -> PointedSystem:
     """Cartesian product; members lift through the two projections.
 
     Point (x, y) gets index x * |S2| + y, and its order is the sum of the
     factor orders.
     """
     n1, n2 = s1.size, s2.size
-    PRODUCT_POINTS.check(n1 * n2, cap)
+    PRODUCT_POINTS.check(n1 * n2)
     _warn_if_not_t0(s1, "left")
     _warn_if_not_t0(s2, "right")
     labels = tuple(

@@ -146,20 +146,18 @@ class SelectionResult(NamedTuple):
     witness: Ultrafilter
 
 
-def family_from_sets(points: PointSet, sets, prefix: str = "U") -> SeparatingFamily:
-    """Build a family from raw masks or iterables of points, auto-labeled."""
+def family_from_sets(points: PointSet, sets) -> SeparatingFamily:
+    """Build a family from raw masks or iterables of points, member i
+    labeled ``U`` + i."""
     members = []
     for i, s in enumerate(sets):
-        if isinstance(s, Member):
-            members.append(s)
-            continue
         if isinstance(s, int):
             mask = s
         else:
             mask = 0
             for p in s:
                 mask |= 1 << p
-        members.append(Member(f"{prefix}{i}", mask))
+        members.append(Member(f"U{i}", mask))
     return SeparatingFamily(points, tuple(members))
 
 

@@ -170,12 +170,12 @@ class DensityReport:
     failures: tuple
 
 
-def dense_small_support_check(s: int, samples: int = 500, seed: int = 0) -> DensityReport:
+def dense_small_support_check(s: int) -> DensityReport:
     """For every nonzero basic clopen set, the minimal support inside it is
     exactly sigma.
 
-    Exhaustive over all disjoint (sigma, tau) pairs for s <= 4,
-    seeded sampling above.
+    Exhaustive over all disjoint (sigma, tau) pairs for s <= 4, and 500
+    draws seeded 0 above.
     """
     alg = FreeAlgebra(s)
     failures = []
@@ -196,8 +196,8 @@ def dense_small_support_check(s: int, samples: int = 500, seed: int = 0) -> Dens
             tau = [i for i, v in enumerate(assignment) if v == 2]
             check(sigma, tau)
     else:
-        rng = random.Random(seed)
-        for _ in range(samples):
+        rng = random.Random(0)
+        for _ in range(500):
             sigma, tau = [], []
             for i in range(s):
                 r = rng.randrange(3)

@@ -26,10 +26,8 @@ from typing import Optional, Sequence
 from .algebra import Element, FiniteBooleanAlgebra
 from .bits import extend_cells, is_free, points, transpose
 from .combinators import PointedSystem
-from .errors import SIGMA_NODES, AlgebraMismatchError, ValidationError
+from .errors import FREE_POOL_ATOMS, SIGMA_NODES, AlgebraMismatchError
 from .trees import FiniteForest, sigma_system
-
-DEFAULT_POOL_ATOM_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -53,18 +51,6 @@ def is_free_sequence(algebra: FiniteBooleanAlgebra, terms: Sequence[Element]) ->
     definition (asserted against the naive oracle in tests)."""
     _check_terms(algebra, terms)
     return is_free([t.bits for t in terms], algebra.full_mask)
-
-
-def _default_pool(algebra: FiniteBooleanAlgebra):
-    if algebra.atom_count > DEFAULT_POOL_ATOM_CAP:
-        raise ValidationError(
-            f"default pool only available for atom_count <= {DEFAULT_POOL_ATOM_CAP}; "
-            "pass an explicit pool"
-        )
-    return [
-        Element(algebra, m)
-        for m in range(1, algebra.full_mask)  # nonconstant elements
-    ]
 
 
 def _extensions(terms, full: int):
@@ -133,30 +119,31 @@ def _free_sequences(terms, full: int, limit: int):
 
 
 def longest_free_sequence(algebra: FiniteBooleanAlgebra,
-                          pool: Optional[Sequence[Element]] = None,
-                          stop_at_bound: bool = True) -> FreeSequence:
+                          pool: Optional[Sequence[Element]] = None) -> FreeSequence:
     """Maximum-length free sequence over the pool, by exhaustive DFS.
 
-    Candidates are tried in popcount-descending order (earlier terms must
-    stay jointly large), and the first longest sequence in that order is
-    returned.  A free sequence of length k yields k+1 pairwise disjoint
-    nonzero split cells, so k <= atom_count - 1; with ``stop_at_bound`` the
-    search stops as soon as that bound is attained.
+    The default pool is every nonconstant element, under the free pool's
+    atom cap.  Candidates are tried in popcount-descending order (earlier
+    terms must stay jointly large), and the first longest sequence in that
+    order is returned.  A free sequence of length k yields k+1 pairwise
+    disjoint nonzero split cells and repeats no term, so k is at most
+    min(atom_count - 1, |candidates|); the search stops as soon as that
+    bound is attained, since no later sequence is longer.
     """
     if pool is None:
-        pool = _default_pool(algebra)
+        FREE_POOL_ATOMS.check(algebra.atom_count)
+        masks = range(1, algebra.full_mask)  # nonconstant elements
     else:
         pool = list(pool)
-    _check_terms(algebra, pool)
-    candidates = sorted(
-        {e.bits for e in pool}, key=lambda m: (-m.bit_count(), m)
-    )
+        _check_terms(algebra, pool)
+        masks = {e.bits for e in pool}
+    candidates = sorted(masks, key=lambda m: (-m.bit_count(), m))
     bound = min(algebra.atom_count - 1, len(candidates))
     best: tuple[int, ...] = ()
     for node in _free_sequences(candidates, algebra.full_mask, len(candidates)):
         if len(node) > len(best):
             best = node
-        if stop_at_bound and len(best) >= bound:
+        if len(best) >= bound:
             break
     return FreeSequence(algebra, tuple(Element(algebra, candidates[i]) for i in best))
 
@@ -184,7 +171,6 @@ class SigmaTree:
     algebra: FiniteBooleanAlgebra
     pool_bits: tuple[int, ...]
     nodes: tuple[tuple[int, ...], ...]
-    depth_bound: Optional[int]
 
     @property
     def size(self) -> int:
@@ -201,9 +187,9 @@ class SigmaTree:
 
 
 def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
-               depth_bound: Optional[int] = None,
                node_cap: int = SIGMA_NODES.default) -> SigmaTree:
-    """Build the tree of all free sequences with terms from the pool.
+    """Build the tree of all free sequences with terms from the pool, each
+    at most atom_count - 1 long.
 
     Nodes come in preorder, children by increasing pool index.  Each node
     carries its split cells, all nonzero; a child's cells are its parent's
@@ -214,10 +200,10 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
     pool = list(pool)
     _check_terms(algebra, pool)
     bits = list(dict.fromkeys(e.bits for e in pool))  # equal elements give the same sequences
-    limit = depth_bound if depth_bound is not None else algebra.atom_count - 1
+    limit = algebra.atom_count - 1
     nodes = list(islice(_free_sequences(bits, algebra.full_mask, limit), node_cap + 1))
     SIGMA_NODES.check(len(nodes), node_cap)
-    return SigmaTree(algebra, tuple(bits), tuple(nodes), depth_bound)
+    return SigmaTree(algebra, tuple(bits), tuple(nodes))
 
 
 def sigma_squared(tree: SigmaTree) -> PointedSystem:

@@ -105,30 +105,24 @@ class FinitePoset:
 
 
 def _upset_masks(n: int, up, max_count: int) -> list[int]:
-    """All up-closed subsets of an n-point order, by depth-first extension.
+    """All up-closed subsets of an n-point order, level by level.
 
-    Processes points along a linear extension, maximal elements first, so
-    putting a point in only needs its already-decided strict successors to
-    be in.  An explicit stack of (position, mask) keeps the depth off the
-    call stack; the branch leaving a point out is taken first.
-    Deterministic output order; raises when more than ``max_count`` sets
-    would be produced.
+    Takes the points along a linear extension, maximal elements first, so
+    a point e joins an up-set u exactly when e's strict up-set lies in u,
+    and every set of the next level is an old set with or without e.
+    Deterministic output order.  Raises once a level holds more than
+    ``max_count`` sets; the failing level can hold up to twice
+    ``max_count``.
     """
     order = sorted(range(n), key=lambda i: (up[i].bit_count(), i))
-    results: list[int] = []
-    stack = [(0, 0)]
-    while stack:
-        pos, mask = stack.pop()
-        if pos == n:
-            if len(results) >= max_count:
-                raise CapExceededError(UPSETS, max_count + 1, max_count)
-            results.append(mask)
-            continue
-        e = order[pos]
-        if up[e] & ~(mask | 1 << e) == 0:  # every strict successor is in
-            stack.append((pos + 1, mask | 1 << e))
-        stack.append((pos + 1, mask))  # leave e out; popped first
-    return results
+    sets = [0]
+    for e in order:
+        bit = 1 << e
+        above = up[e] & ~bit
+        sets += [u | bit for u in sets if not above & ~u]
+        if len(sets) > max_count:
+            raise CapExceededError(UPSETS, len(sets), max_count)
+    return sets
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from operator import mul
 
 from .algebra import FiniteBooleanAlgebra
 from .bits import points, set_label, transpose, unseparated_pair
-from .errors import (EXACT_CANDIDATES, EXACT_POINTS, FREE_POOL_ATOMS, PoolInsufficientError,
-                     ValidationError)
+from .errors import (EXACT_CANDIDATES, EXACT_POINTS, FREE_POOL_ATOMS, SYSTEM_POINTS,
+                     PoolInsufficientError, ValidationError)
 from .families import (
     Member,
     PointSet,
@@ -38,8 +38,6 @@ from .families import (
     order_profile,
 )
 from .orders import (
-    FilterLattice,
-    FinalSegmentLattice,
     FinitePoset,
     MeetSemilattice,
     clopen_filter_family,
@@ -401,12 +399,10 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
         )
         return GeneratorPool(pts, cands, "intervals")
     if kind == "upsets":
-        if isinstance(structure, FinitePoset):
-            lattice = final_segments(structure)
-        elif isinstance(structure, FinalSegmentLattice):
-            lattice = structure
-        else:
+        if not isinstance(structure, FinitePoset):
             raise ValidationError("upsets pool needs a FinitePoset")
+        lattice = final_segments(structure)
+        SYSTEM_POINTS.check(lattice.size)  # a pool is a system; before its m x m up-sets
         cands = tuple(
             Member(f"up:{label}", mask) for label, mask in zip(lattice.labels, lattice.up)
         )
@@ -417,12 +413,8 @@ def preset_pool(kind: str, structure) -> GeneratorPool:
         system = sigma_system(structure)
         return GeneratorPool(system.points, system.family.members, "tree")
     if kind == "filters":
-        if isinstance(structure, MeetSemilattice):
-            lattice = semilattice_filters(structure)
-        elif isinstance(structure, FilterLattice):
-            lattice = structure
-        else:
+        if not isinstance(structure, MeetSemilattice):
             raise ValidationError("filters pool needs a MeetSemilattice")
-        fam = clopen_filter_family(lattice)
+        fam = clopen_filter_family(semilattice_filters(structure))
         return GeneratorPool(fam.points, fam.members, "filters")
     raise ValidationError(f"unknown pool preset {kind!r}")

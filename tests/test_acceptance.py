@@ -43,6 +43,7 @@ from stonelab.families import (
     is_t0_separating,
     order_profile,
 )
+from stonelab.freeseq import _free_sequences
 from stonelab.oracles import (
     closure_generates,
     exhaustive_min_max_order,
@@ -277,11 +278,10 @@ def test_free_sequence_asymmetry():
     for n in range(1, 7):
         B = FiniteBooleanAlgebra(n)
         pool = [B.element(m) for m in range(1, B.full_mask)] if n > 1 else []
-        if n <= 5:
-            best = longest_free_sequence(B, pool=pool, stop_at_bound=False)
-        else:
-            best = longest_free_sequence(B, pool=pool)
-        assert best.length == n - 1, f"n={n}"
+        assert longest_free_sequence(B, pool=pool).length == n - 1, f"n={n}"
+        if n <= 5:  # exhaustive: the longest of all free sequences of the pool
+            masks = [e.bits for e in pool]
+            assert max(map(len, _free_sequences(masks, B.full_mask, len(masks)))) == n - 1
         points = longest_free_point_sequence(B)
         assert points == n
         assert point_sequence_is_free_by_closure(B, list(range(n)))

@@ -206,8 +206,9 @@ def _cap_constant(name: str) -> bool:
 
 def test_caps_are_declared_once():
     """Outside errors.py no module raises a cap error with its own text or
-    declares a cap constant; the two bounds whose refusal is a
-    ValidationError stay in their modules."""
+    declares a cap constant; the one bound whose refusal is a
+    ValidationError, the free algebra's generator range, stays in its
+    module."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "errors.py":
@@ -221,5 +222,72 @@ def test_caps_are_declared_once():
             elif isinstance(node, ast.Assign):
                 found |= {(path.name, t.id) for t in node.targets
                           if isinstance(t, ast.Name) and _cap_constant(t.id)}
-    assert found == {("freealg.py", "DEFAULT_GENERATOR_CAP"),
-                     ("freeseq.py", "DEFAULT_POOL_ATOM_CAP")}
+    assert found == {("freealg.py", "DEFAULT_GENERATOR_CAP")}
+
+
+# Every option of the public API: (module, function or class, name) for
+# each defaulted parameter and each field that has a default or admits
+# None.  An option stays only while some caller outside the tests sets it,
+# or for the reason given.
+OPTIONS = {
+    ("algebra", "FiniteBooleanAlgebra.__init__", "cap"),  # cli.build_structure, trees
+    ("bits", "index_text", "sep"),  # cli's report writer
+    ("cli", "main", "argv"),  # __main__ leaves it out; bench/workloads.py passes argv
+    ("cli", "system_to_json", "extra"),  # cli.cmd_combine
+    ("combinators", "PointedSystem", "base_point"),  # the combinators, cli.system_from_json
+    ("dot", "hasse_dot", "name"),  # cli.cmd_export_dot
+    ("errors", "Cap", "maximum"),  # the ATOMS row
+    ("errors", "Cap", "flag"),  # the rows with a CLI knob
+    ("errors", "Cap", "env"),  # the rows with a CLI knob
+    ("errors", "Cap.check", "limit"),  # the knob values cli, orders and solver pass
+    ("errors", "PoolInsufficientError.__init__", "witness"),  # solver's pool check
+    ("families", "PointSet", "labels"),  # the combinators, cli.system_from_json
+    ("families", "T0Result", "witness"),  # is_t0_separating on failure
+    ("freeseq", "longest_free_sequence", "pool"),  # the input set, as sigma_tree's pool
+    ("freeseq", "sigma_tree", "node_cap"),  # the SIGMA_NODES row's cheap test case
+    ("orders", "filters", "cap"),  # cli --cap-enum
+    ("orders", "final_segments", "cap"),  # cli --cap-enum
+    ("orders", "final_segments", "max_count"),  # the UPSETS row's cheap test case
+    ("solver", "DecisionResult", "family"),  # None when decision_max_order_at_most refutes k
+    ("solver", "GeneratorPool", "preset_tag"),  # preset_pool, cli._pool
+    ("solver", "min_max_order", "max_points"),  # bench/workloads.py
+    ("solver", "min_max_order", "max_pool"),  # bench/workloads.py
+    ("solver", "min_max_order", "mode"),  # cli.cmd_solve
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or name.startswith("__") and name.endswith("__")
+
+
+def _options(path: Path):
+    def defaulted(module, owner, fn):
+        args = fn.args.posonlyargs + fn.args.args
+        named = args[len(args) - len(fn.args.defaults):] + [
+            a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        return {(module, owner + fn.name, a.arg) for a in named}
+
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and _public(node.name):
+            found |= defaulted(path.stem, "", node)
+        elif isinstance(node, ast.ClassDef) and _public(node.name):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    found |= defaulted(path.stem, node.name + ".", item)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    annotation = ast.unparse(item.annotation)
+                    if item.value is not None or "None" in annotation or "Optional" in annotation:
+                        found.add((path.stem, node.name, item.target.id))
+    return found
+
+
+def test_every_option_has_a_caller():
+    """The public API's defaulted parameters and optional fields are the
+    listed ones, each with a caller outside the tests or a stated reason;
+    an option only a test sets is a constant."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "oracles.py":
+            found |= _options(path)
+    assert found == OPTIONS

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stonelab import ValidationError, cli, selftest
+from stonelab import FiniteBooleanAlgebra, ValidationError, cli, selftest
 from stonelab.bits import iter_bits, points
 from stonelab.cli import (
     _MAX_FORMULA_DEPTH,
@@ -23,6 +23,7 @@ from stonelab.cli import (
 )
 from stonelab.combinators import PorcupineSpec, porcupine
 from stonelab.freealg import FreeAlgebra
+from stonelab.oracles import is_free_sequence_naive
 
 
 def run(capsys, *argv):
@@ -95,6 +96,19 @@ class TestAnalyze:
         assert rep["results"]["algebra_sequence_length"] == 2
         assert rep["results"]["point_sequence_length"] == 3
         assert rep["results"]["asymmetry"] == 1
+
+    def test_algebra_freeseq_default_pool_to_its_cap(self, capsys):
+        """The default pool, every nonconstant element, runs up to the free
+        pool's 12 atoms and is refused above them."""
+        code, rep = run_json(capsys, "analyze", "--kind", "algebra", "--n", "12",
+                             "--analysis", "freeseq")
+        assert code == 0
+        assert rep["results"]["algebra_sequence_length"] == 11
+        B = FiniteBooleanAlgebra(12)
+        assert is_free_sequence_naive(B, [B.element(t) for t in rep["results"]["algebra_sequence"]])
+        assert main(["analyze", "--kind", "algebra", "--n", "13", "--analysis", "freeseq"]) == 2
+        assert capsys.readouterr().err == \
+            "cap exceeded: free pool enumerates all subsets; atoms capped at 12\n"
 
 
 class TestSolve:
@@ -589,6 +603,25 @@ class TestLargeInputs:
         assert proc.returncode == 0, proc.stderr[-500:]
         assert json.loads(proc.stdout)["results"]["prime_filter_count"] == 16
         assert elapsed < 3.0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--pool", "upsets"],
+        ["analyze", "--analysis", "selection", "--pool", "upsets"],
+    ])
+    def test_upsets_pool_refused_under_memory_limit(self, argv):
+        """The 16-antichain's 65,536 segments are refused as a system before
+        the pool builds their up-set matrix, 512 MB of masks, so the run
+        ends in one cap line under a 256 MB ``RLIMIT_AS`` set in the child."""
+        import resource
+
+        limit = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "stonelab", *argv, "--kind", "poset", "--size", "16",
+             "--pairs", ""],
+            capture_output=True, text=True, env={"PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "cap exceeded: system has 65536 points, cap is 4096\n"
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--analysis", "duality"],

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from stonelab import (
-    CapExceededError,
     LintWarning,
     PorcupineSpec,
     ValidationError,
@@ -71,10 +70,6 @@ class TestProduct:
             for i in range(s1.points.size):
                 for j in range(n2):
                     assert got[i * n2 + j] == p1[i] + p2[j]
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            product_system(singleton_system(3), singleton_system(3), cap=8)
 
     def test_non_t0_inputs_warn(self):
         flat = system_from_sets(2, [])

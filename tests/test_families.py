@@ -21,6 +21,7 @@ from stonelab import (
     preset_pool,
     semilattice_system,
     sigma_system,
+    solver,
     trees,
 )
 from stonelab.bits import set_label
@@ -173,8 +174,8 @@ class TestLint:
         assert order_at(f, 0) == 2
 
     def test_labels_preserved(self):
-        f = family_from_sets(PointSet(2, ("p", "q")), [{0}], prefix="W")
-        assert f.members[0].label == "W0"
+        f = family_from_sets(PointSet(2, ("p", "q")), [{0}])
+        assert f.members[0].label == "U0"
         assert f.points.label(1) == "q"
 
 
@@ -253,14 +254,16 @@ class TestSetSpaceReuse:
     """Systems, pools and families over a set space use its one point set,
     so no layer builds a second round of labels."""
 
-    def test_lattice_systems_and_pools(self):
+    def test_lattice_systems_and_pools(self, monkeypatch):
         segments, fils, _ = small_spaces()
         for system in (poset_system(segments), semilattice_system(fils)):
             assert system.family.points is system.points
         assert poset_system(segments).points is segments.points
         assert semilattice_system(fils).points is fils.points
-        assert preset_pool("upsets", segments).points is segments.points
-        assert preset_pool("filters", fils).points is fils.points
+        monkeypatch.setattr(solver, "final_segments", lambda p: segments)
+        monkeypatch.setattr(solver, "semilattice_filters", lambda m: fils)
+        assert preset_pool("upsets", segments.poset).points is segments.points
+        assert preset_pool("filters", fils.semilattice).points is fils.points
         assert clopen_filter_family(fils).points is fils.points
 
     def test_path_space(self, monkeypatch):

@@ -149,9 +149,9 @@ class TestDensityCheck:
         assert size == 2
 
     def test_sampled_mode_above_cap(self):
-        rep = dense_small_support_check(6, samples=100)
+        rep = dense_small_support_check(6)
         assert not rep.exhaustive
-        assert rep.pairs_checked == 100
+        assert rep.pairs_checked == 500
         assert rep.failures == ()
 
 

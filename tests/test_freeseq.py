@@ -7,7 +7,6 @@ from stonelab import (
     AlgebraMismatchError,
     CapExceededError,
     FiniteBooleanAlgebra,
-    ValidationError,
     is_free_sequence,
     longest_free_point_sequence,
     longest_free_sequence,
@@ -121,15 +120,9 @@ class TestLongestSearch:
         assert longest_free_sequence(B, pool=[]).length == 0
 
     def test_default_pool_cap(self):
-        with pytest.raises(ValidationError):
-            longest_free_sequence(FiniteBooleanAlgebra(6))
-
-    def test_early_stop_matches_full_search(self):
-        for n in range(1, 5):
-            B = FiniteBooleanAlgebra(n)
-            fast = longest_free_sequence(B, stop_at_bound=True)
-            slow = longest_free_sequence(B, stop_at_bound=False)
-            assert fast.length == slow.length
+        assert longest_free_sequence(FiniteBooleanAlgebra(12)).length == 11
+        with pytest.raises(CapExceededError, match="atoms capped at 12"):
+            longest_free_sequence(FiniteBooleanAlgebra(13))
 
     def test_result_is_free(self):
         rng = random.Random(8)
@@ -194,7 +187,7 @@ class TestSigmaTree:
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(1, 5))]
             tree = sigma_tree(B, pool)
-            best = longest_free_sequence(B, pool=pool, stop_at_bound=False)
+            best = longest_free_sequence(B, pool=pool)
             assert tree.height() == best.length + 1
 
     def test_node_cap(self):
@@ -202,11 +195,6 @@ class TestSigmaTree:
         pool = [B.element(m) for m in range(1, B.full_mask)]
         with pytest.raises(CapExceededError):
             sigma_tree(B, pool, node_cap=3)
-
-    def test_depth_bound(self):
-        B = FiniteBooleanAlgebra(4)
-        tree = sigma_tree(B, chain_tails(B), depth_bound=1)
-        assert tree.height() == 2
 
 
 def _longest_reference(algebra, pool, stop_at_bound=True):
@@ -252,13 +240,21 @@ def _longest_reference(algebra, pool, stop_at_bound=True):
 
 class TestCellSearch:
     def test_longest_matches_reference(self):
+        """The search stops at its bound; the reference's full search finds
+        the same first longest sequence."""
         rng = random.Random(4242)
+        cases = []
         for _ in range(300):
             n = rng.randint(1, 5)
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 8))]
+            cases.append((B, pool, longest_free_sequence(B, pool=pool)))
+        for n in range(1, 5):
+            B = FiniteBooleanAlgebra(n)
+            pool = [B.element(m) for m in range(1, B.full_mask)]
+            cases.append((B, pool, longest_free_sequence(B)))
+        for B, pool, got in cases:
             for stop in (True, False):
-                got = longest_free_sequence(B, pool=pool, stop_at_bound=stop)
                 assert [t.bits for t in got.terms] == _longest_reference(B, pool, stop)
 
     def test_long_chain_without_recursion(self):
@@ -284,10 +280,9 @@ class TestCellSearch:
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 6))]
             pool += rng.sample(pool, min(len(pool), 2)) + [B.zero, B.one][:rng.randint(0, 2)]
             rng.shuffle(pool)
-            depth_bound = rng.choice([None, 0, 1, 2])
-            limit = n - 1 if depth_bound is None else depth_bound
-            expected = sigma_tree_by_enumeration(B.full_mask, [e.bits for e in pool], limit)
-            assert sigma_tree(B, pool, depth_bound=depth_bound).nodes == expected
+            # enumerated past n - 1: no free sequence is longer
+            expected = sigma_tree_by_enumeration(B.full_mask, [e.bits for e in pool], n + 1)
+            assert sigma_tree(B, pool).nodes == expected
 
     def test_node_cap_boundary(self):
         B = FiniteBooleanAlgebra(4)
