@@ -13,10 +13,12 @@ kernel switches:
 * ``points``: a mask of up to 64 bits is joined from per-byte index tables;
   a wider one takes the bit loop when sparse, with fewer than one bit in
   eight set, and picks its indices with ``itertools.compress`` when dense.
-* ``index_text`` (and ``set_label``): a sparse mask takes the bit loop; a
-  dense one with few runs, at least 16 set bits per run of ones, is sliced
-  run by run out of a per-separator text of every index; any other dense
-  mask picks its decimals out of a table with ``itertools.compress``.
+* ``index_text`` (and ``set_label``): density is judged on the mask's span,
+  from its lowest to its highest set bit, and a single index is written
+  alone.  A sparse mask takes the bit loop; a dense one with few runs, at
+  least 16 set bits per run of ones, is sliced run by run out of a
+  per-separator text of every index; any other dense mask picks its
+  decimals over the span out of a table with ``itertools.compress``.
 * ``transpose``: a matrix of at least 4,096 cells with one bit in eight set
   is padded to the width as digits and read back column by column; smaller
   or sparser ones take the bit loop.
@@ -95,16 +97,20 @@ def _point_tables(size: int):
 def index_text(mask: int, sep: str = ",") -> str:
     """``sep.join(map(str, iter_bits(mask)))``: the indices of ``mask`` as
     decimal text, without building an int per index when the mask is dense."""
+    low = (mask & -mask).bit_length() - 1
+    if not mask & (mask - 1):  # no index, or one
+        return str(low) if mask else ""
+    top = mask.bit_length()
     ones = mask.bit_count()
-    if ones * 8 < mask.bit_length():
+    if ones * 8 < top - low:
         return sep.join(map(str, iter_bits(mask)))
-    digits = bin(mask)[:1:-1]
     if (mask & ~(mask << 1)).bit_count() * _RUN_ONES <= ones:
-        return _run_text(digits, sep)
+        return _run_text(bin(mask)[:1:-1], sep)
     decimals = _DECIMALS
-    if len(decimals) < len(digits):
-        decimals = _decimals(len(digits))
-    return sep.join(compress(decimals, digits.encode().translate(_DIGIT_FLAGS)))
+    if len(decimals) < top:
+        decimals = _decimals(top)
+    digits = bin(mask)[-1 - low:1:-1]  # bits low..top-1, lowest first
+    return sep.join(compress(decimals[low:top], digits.encode().translate(_DIGIT_FLAGS)))
 
 
 def _decimals(width: int) -> tuple[str, ...]:

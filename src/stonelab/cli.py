@@ -15,7 +15,6 @@ import sys
 import warnings
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from . import dot as dotmod
@@ -102,11 +101,13 @@ def read_structure(path: str) -> dict:
 
 
 def _nested_too_deeply(data) -> bool:
-    level = [data]  # walked breadth first, so without recursion
-    for _ in range(_MAX_JSON_DEPTH):
-        level = [v for x in level if isinstance(x, (dict, list))
-                 for v in (x.values() if isinstance(x, dict) else x)]
-    return any(isinstance(x, (dict, list)) for x in level)
+    level = [data] if isinstance(data, (dict, list)) else []  # the containers at one depth
+    for _ in range(_MAX_JSON_DEPTH):  # walked breadth first, so without recursion
+        if not level:
+            return False
+        level = [v for x in level for v in (x.values() if type(x) is dict else x)
+                 if isinstance(v, (dict, list))]
+    return bool(level)
 
 
 def load_structure(args) -> dict:
@@ -276,7 +277,7 @@ def _member_mask(member, size: int, i: int) -> int:
         raise ValidationError(f"system member {i} needs a 'set' list of point indices")
     mask = 0
     for p in points:
-        if not _is_int(p) or not 0 <= p < size:
+        if type(p) is not int or not 0 <= p < size:  # JSON yields no other int type
             raise ValidationError(
                 f"system member {i}: point index {p!r} is not an integer in 0..{size - 1}"
             )
@@ -330,74 +331,76 @@ def _set_knobs(args) -> None:
 _SCALAR_ENCODERS = {int: str, str: encode_basestring_ascii}  # exact types: not bool
 
 
-def _json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
-    payloads with string keys, where a ``_Mask`` stands for the list of its
-    indices.
+def _json(obj, out: list, indent: str = "") -> None:
+    """Append ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte,
+    to ``out`` in pieces that the caller joins once, for payloads with
+    string keys, where a ``_Mask`` stands for the list of its indices.
 
-    The standard encoder drops to pure Python under ``indent``; here a mask
-    is written as the decimal text of its indices by ``bits.index_text``,
-    without an int per index; a list of plain ints or of plain strings is
-    encoded in one call; a list of plain dicts that share their keys is
-    written by one row template (``_rows``); keys and plain ints and strings
-    are encoded as ``json.dumps`` encodes them without its per-call set-up;
-    and every other scalar still goes through ``json.dumps``.
+    No child's text is copied into its parent's.  A mask is written by
+    ``bits.index_text``, without an int per index; a list of plain ints or
+    strs is encoded in one call; a list of plain dicts that share their
+    keys fills one ``%`` row template column by column, one encoder per
+    column of one plain type; keys, plain ints and strs are encoded as
+    ``json.dumps`` does, without its per-call set-up; other scalars go
+    through ``json.dumps``.
     """
+    kind = type(obj)
+    if kind in _SCALAR_ENCODERS:
+        out.append(_SCALAR_ENCODERS[kind](obj))
+        return
     inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        opening, closing = "{", "}"
-        items = (f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        opening, closing = "[", "]"
+    sep = ",\n" + inner
+    if kind is _Mask:
+        out += ("[\n" + inner, index_text(obj, sep), "\n" + indent + "]") if obj else ("[]",)
+    elif not isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj))
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        opening = "{\n" + inner
+        for key in sorted(obj):
+            out.append(f"{opening}{encode_basestring_ascii(key)}: ")
+            _json(obj[key], out, inner)
+            opening = sep
+        out.append("\n" + indent + "}")
+    else:
+        out.append("[\n" + inner)
         kinds = set(map(type, obj))  # bool and _Mask, int subclasses, are not joined
         if kinds in ({int}, {str}):
-            items = map(_SCALAR_ENCODERS[kinds.pop()], obj)
+            out.append(sep.join(map(_SCALAR_ENCODERS[kinds.pop()], obj)))
         elif kinds == {dict} and obj[0] and all(map(obj[0].keys().__eq__, map(dict.keys, obj))):
-            items = _rows(obj, inner)
+            keys = sorted(obj[0])
+            cell = inner + "  "
+            template = "{\n%s\n%s}" % (",\n".join(
+                f"{cell}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys), inner)
+            columns = []
+            for key in keys:
+                values = [row[key] for row in obj]
+                kinds = set(map(type, values))
+                encode = _SCALAR_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
+                if encode is None:
+                    pieces = [[] for _ in values]
+                    for value, text in zip(values, pieces):
+                        _json(value, text, cell)
+                    values, encode = pieces, "".join
+                columns.append(map(encode, values))
+            rows = zip(*columns)
+            out.append(template % next(rows))
+            out += map((sep + template).__mod__, rows)
         else:
-            items = (_json(v, inner) for v in obj)
-    elif type(obj) is _Mask:
-        if not obj:
-            return "[]"
-        opening, closing, items = "[", "]", (index_text(obj, f",\n{inner}"),)
-    else:
-        return _SCALAR_ENCODERS.get(type(obj), json.dumps)(obj)
-    body = f",\n{inner}".join(items)
-    return f"{opening}\n{inner}{body}\n{indent}{closing}"
-
-
-def _rows(rows: list, indent: str):
-    """The ``_json`` text of each dict in ``rows``, which share one non-empty
-    key set, written at ``indent``: one ``%`` template from the sorted keys,
-    filled column by column.  Columns are encoded lazily, a row at a time,
-    so no column of text is held whole."""
-    inner = indent + "  "
-    keys = sorted(rows[0])
-    template = "{\n%s\n%s}" % (",\n".join(
-        f"{inner}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys), indent)
-    return map(template.__mod__, zip(*(_column(rows, k, inner) for k in keys)))
-
-
-def _column(rows: list, key: str, indent: str):
-    """The ``_json`` texts of each row's ``key`` value at ``indent``, through
-    one encoder for the whole column when its values share a plain type."""
-    kinds = set(map(type, map(itemgetter(key), rows)))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    values = map(itemgetter(key), rows)
-    if kind in _SCALAR_ENCODERS:
-        return map(_SCALAR_ENCODERS[kind], values)
-    if kind is _Mask:
-        sep = f",\n{indent}  "
-        return (f"[\n{indent}  {index_text(m, sep)}\n{indent}]" if m else "[]" for m in values)
-    return map(partial(_json, indent=indent), values)
+            _json(obj[0], out, inner)
+            for value in obj[1:]:
+                out.append(sep)
+                _json(value, out, inner)
+        out.append("\n" + indent + "]")
 
 
 def emit(args, payload: dict) -> None:
-    _write(human_view(payload) if args.human else _json(payload) + "\n", args.out)
+    out = [human_view(payload)] if args.human else []
+    if not args.human:
+        _json(payload, out)
+        out.append("\n")
+    _write("".join(out), args.out)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -553,11 +556,12 @@ def _sigma(args, structure):
 
 def _freeseq(args, algebra):
     best = longest_free_sequence(algebra)
+    points_length = longest_free_point_sequence(algebra)
     results = {
         "algebra_sequence_length": best.length,
         "algebra_sequence": [sorted(t.atoms()) for t in best.terms],
-        "point_sequence_length": longest_free_point_sequence(algebra),
-        "asymmetry": longest_free_point_sequence(algebra) - best.length,
+        "point_sequence_length": points_length,
+        "asymmetry": points_length - best.length,
     }
     notes = [
         "algebra sequences top out one below the atom count; point sequences reach it",
@@ -863,11 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run an analysis on a structure")
     _add_flags(p, *_STRUCTURE, "--out", "--human", "--cap-atoms", "--cap-enum", "--pool")
-    p.add_argument(
-        "--analysis",
-        required=True,
-        choices=list(ANALYSES),
-    )
+    p.add_argument("--analysis", required=True, choices=list(ANALYSES))
     p.add_argument("--clopen", help="formula for minsupport, e.g. 'g0 & !g1'")
     p.set_defaults(func="cmd_analyze")
 

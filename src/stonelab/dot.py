@@ -7,7 +7,7 @@ deterministic text.
 
 from __future__ import annotations
 
-from .bits import points, upper_covers
+from .bits import points
 from .families import SeparatingFamily, SetSpace
 
 
@@ -23,7 +23,7 @@ def hasse_dot(space: SetSpace, name: str = "hasse") -> str:
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     lines.extend(f'  n{i} [label="{_escape(label)}"];' for i, label in enumerate(space.labels))
-    for i, above in enumerate(upper_covers(space.sets)):
+    for i, above in enumerate(space.covers):
         lines.extend(f"  n{i} -> n{j};" for j in points(above))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter
-from .bits import set_label, supersets, transpose, unseparated_pair
+from .bits import set_label, supersets, transpose, unseparated_pair, upper_covers
 from .errors import AlgebraMismatchError, LintWarning, ValidationError
 
 
@@ -89,9 +89,9 @@ class SeparatingFamily:
 @dataclass(frozen=True)
 class SetSpace:
     """A dual point set, such as FS(P), Fil(M) or a path space: sorted
-    masks over a base of ``width`` elements, one per point, labeled
-    ``{0,2,5}``-style.  Its canonical family is a_e = {u : e in u}, one
-    member per base element.  Each view is computed once, on first use.
+    masks over a base of ``width`` elements, one per point.  Its canonical
+    family is a_e = {u : e in u}, one member per base element.  Each view
+    is computed once, on first use.
     """
 
     width: int
@@ -103,11 +103,14 @@ class SetSpace:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
+        """``{0,2,5}``-style text of each point's set."""
         return tuple(map(set_label, self.sets))
 
     @cached_property
     def points(self) -> PointSet:
-        return PointSet(self.size, self.labels)
+        """The points, unlabeled: no report prints a set space's point
+        labels, and ``labels`` holds their text."""
+        return PointSet(self.size)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -118,6 +121,12 @@ class SetSpace:
     def up(self) -> tuple[int, ...]:
         """Per point i, the mask of the points whose set contains ``sets[i]``."""
         return tuple(supersets(self.sets))
+
+    @cached_property
+    def covers(self) -> tuple[int, ...]:
+        """Per point i, the mask of the points covering it under inclusion,
+        as ``bits.upper_covers`` finds them."""
+        return tuple(upper_covers(self.sets))
 
     def family(self, prefix: str) -> SeparatingFamily:
         """The canonical family {a_e}, member e labeled ``prefix`` + e."""

@@ -10,8 +10,9 @@ compact elements and immediate predecessors in filter lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bits import points, supersets, transpose, upper_covers
+from .bits import points, supersets, transpose
 from .errors import (POSET_POINTS, SEMILATTICE_POINTS, UPSETS, CapExceededError,
                      OracleMismatchError, ValidationError)
 from .families import Member, SeparatingFamily, SetSpace
@@ -132,6 +133,26 @@ class FinalSegmentLattice(SetSpace):
     poset: FinitePoset
 
     segments = property(lambda self: self.sets)
+
+    @cached_property
+    def covers(self) -> tuple[int, ...]:
+        """Per segment U, the mask of the segments covering it, read off P:
+        V covers U exactly when V = U with a point p outside U added whose
+        strict up-set lies in U.  One narrow test per segment and point,
+        instead of ``bits.upper_covers``' wide OR per comparable pair.
+        """
+        up = self.poset.up
+        strict = [m & ~(1 << p) for p, m in enumerate(up)]
+        index = {u: i for i, u in enumerate(self.sets)}
+        full = (1 << self.width) - 1
+        out = []
+        for u in self.sets:
+            above = 0
+            for p in points(full & ~u):
+                if not strict[p] & ~u:
+                    above |= 1 << index[u | 1 << p]
+            out.append(above)
+        return tuple(out)
 
 
 def final_segments(poset: FinitePoset, cap: int = POSET_POINTS.default,
@@ -373,7 +394,7 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
     the order of p in G equals that count.
     """
     compact = compact_elements_clopen(lattice)
-    covers = upper_covers(lattice.filters)
+    covers = lattice.covers
     lower_covers = transpose(covers, lattice.size)
     pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
     is_modest = True  # every immediate-predecessor set is finite here; counts reported

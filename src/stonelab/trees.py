@@ -39,17 +39,21 @@ class FiniteForest:
                 raise ValidationError(f"node {i} is its own parent")
         ancestors = [None] * n
         for i in range(n):
-            seen = 0
-            mask = 0
-            t = parent[i]
-            while t is not None:
-                bit = 1 << t
-                if seen & bit or t == i:
+            # Walk up only to the first node already resolved (or past a
+            # root), then fill the walked chain top-down, so each node is
+            # walked once.  A walk that meets itself loops: i is then the
+            # first node in index order whose chain has a cycle.
+            chain = {}  # the unresolved nodes from i up, in order
+            t = i
+            while t is not None and ancestors[t] is None:
+                if t in chain:
                     raise ValidationError(f"parent chain of node {i} has a cycle")
-                seen |= bit
-                mask |= bit
+                chain[t] = None
                 t = parent[t]
-            ancestors[i] = mask
+            mask = 0 if t is None else ancestors[t] | 1 << t
+            for s in reversed(chain):
+                ancestors[s] = mask
+                mask |= 1 << s
         self.size = n
         self.parent = tuple(parent)
         self.ancestors = tuple(ancestors)  # strict ancestor masks

@@ -72,6 +72,22 @@ def test_index_kernels_on_wide_masks():
         _check_index_kernels(mask)
 
 
+def test_index_text_on_singletons_and_dense_windows():
+    """Density is judged on the span from the lowest to the highest set
+    bit: every single index up to 4,095 is written alone, and dense
+    windows of 12-24 bits at offsets up to 4,072 (full ones, which take
+    the run path from 16 bits, and random ones with both ends set, which
+    take compress over the span) are read there."""
+    for p in range(4096):
+        _check_index_kernels(1 << p)
+    rng = random.Random(4072)
+    for _ in range(300):
+        width, at = rng.randint(12, 24), rng.randint(0, 4072)
+        inside = rng.getrandbits(width) | 1 | 1 << width - 1
+        for window in (inside, (1 << width) - 1):
+            _check_index_kernels(window << at)
+
+
 def _runs(lengths, gap):
     """Runs of ones of the given lengths, lowest first, ``gap`` zeros apart."""
     mask, at = 0, 0

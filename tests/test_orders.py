@@ -280,6 +280,12 @@ class TestPosetKernels:
                 assert covers[p] == sum(1 << q for q in maximal)
                 assert discrete_witness(P, p).tau == maximal
 
+    def test_segment_covers_against_the_generic_kernel(self):
+        """FS(P)'s covers read off P equal ``bits.upper_covers`` on its sets."""
+        for P, _ in small_and_random_posets():
+            L = final_segments(P)
+            assert L.covers == tuple(upper_covers(L.segments))
+
     def test_orientation_against_pairwise_definition(self):
         for P, _ in small_and_random_posets():
             L = final_segments(P)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stonelab import (
@@ -37,6 +39,43 @@ class TestForest:
         assert f.ancestors[3] == 0b0011
         assert f.ancestors[6] == 0b0101
         assert f.depth(6) == 3
+
+
+def ancestors_by_walk(parents):
+    """Strict ancestor masks, each walked up from its own node."""
+    out = []
+    for t in parents:
+        mask = 0
+        while t is not None:
+            mask |= 1 << t
+            t = parents[t]
+        out.append(mask)
+    return out
+
+
+def test_ancestors_against_the_walk_from_each_node():
+    """200 seeded random forests: each node's parent is a lower node or
+    none, then the nodes are relabeled, so chains run in any index order."""
+    rng = random.Random(200)
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        parent = [None if t == 0 or rng.random() < 0.15 else rng.randrange(t) for t in range(n)]
+        label = rng.sample(range(n), n)
+        parents = [None] * n
+        for t, p in enumerate(parent):
+            parents[label[t]] = None if p is None else label[p]
+        assert list(FiniteForest(parents).ancestors) == ancestors_by_walk(parents)
+
+
+@pytest.mark.parametrize("parents, node", [
+    ([1, 0], 0),
+    ([None, 2, 3, 1], 1),  # node 0 is a root
+    ([1, 2, 3, 2], 0),  # 0 leads into the loop 2 -> 3 -> 2
+    ([None, 0, 4, 2, 3], 2),
+])
+def test_cycle_names_the_first_looping_node(parents, node):
+    with pytest.raises(ValidationError, match=rf"^parent chain of node {node} has a cycle$"):
+        FiniteForest(parents)
 
 
 class TestPaths:
