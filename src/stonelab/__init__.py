@@ -35,12 +35,9 @@ from .families import (
     OrderProfile,
     PointSet,
     SeparatingFamily,
-    family_from_elements,
     family_from_sets,
     is_t0_separating,
-    order_at,
     order_profile,
-    selection_value,
 )
 from .freealg import (
     Assignment,

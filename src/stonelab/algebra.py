@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import points, signature_classes, transpose
-from .errors import ATOMS, ELEMENTS, AlgebraMismatchError, ValidationError
+from .errors import ATOMS, AlgebraMismatchError, ValidationError
 
 
 class FiniteBooleanAlgebra:
@@ -45,14 +45,6 @@ class FiniteBooleanAlgebra:
     def __repr__(self):
         return f"FiniteBooleanAlgebra({self.atom_count})"
 
-    @property
-    def zero(self) -> "Element":
-        return Element(self, 0)
-
-    @property
-    def one(self) -> "Element":
-        return Element(self, self.full_mask)
-
     def element(self, atoms) -> "Element":
         """Element from an int mask or an iterable of atom indices."""
         if isinstance(atoms, int):
@@ -63,20 +55,6 @@ class FiniteBooleanAlgebra:
                 raise ValidationError(f"atom index {a} out of range")
             mask |= 1 << a
         return Element(self, mask)
-
-    def singleton(self, atom: int) -> "Element":
-        if not 0 <= atom < self.atom_count:
-            raise ValidationError(f"atom index {atom} out of range")
-        return Element(self, 1 << atom)
-
-    def singletons(self) -> tuple["Element", ...]:
-        return tuple(self.singleton(a) for a in range(self.atom_count))
-
-    def elements(self):
-        """Iterate all 2^n elements; refuses to run for large algebras."""
-        ELEMENTS.check(self.atom_count)
-        for mask in range(1 << self.atom_count):
-            yield Element(self, mask)
 
     def ultrafilter(self, atom: int) -> "Ultrafilter":
         if not 0 <= atom < self.atom_count:
@@ -101,44 +79,6 @@ class Element:
                 f"{self.algebra.atom_count} atoms"
             )
 
-    def _check(self, other: "Element"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("algebra mismatch")
-
-    def meet(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.bits & other.bits)
-
-    def join(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.bits | other.bits)
-
-    def complement(self) -> "Element":
-        return Element(self.algebra, self.bits ^ self.algebra.full_mask)
-
-    def symdiff(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.bits ^ other.bits)
-
-    def leq(self, other: "Element") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    __and__ = meet
-    __or__ = join
-    __xor__ = symdiff
-    __invert__ = complement
-    __le__ = leq
-
-    def __ge__(self, other):
-        return other.leq(self)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def atom_count(self) -> int:
-        return self.bits.bit_count()
-
     def atoms(self) -> tuple[int, ...]:
         return points(self.bits)
 
@@ -156,15 +96,6 @@ class Ultrafilter:
     def __post_init__(self):
         if not 0 <= self.atom < self.algebra.atom_count:
             raise ValidationError(f"atom index {self.atom} out of range")
-
-    def __contains__(self, element: Element) -> bool:
-        if element.algebra != self.algebra:
-            raise AlgebraMismatchError("algebra mismatch")
-        return bool(element.bits >> self.atom & 1)
-
-    def trace(self, elements) -> tuple[Element, ...]:
-        """The elements of the given collection that belong to this ultrafilter."""
-        return tuple(e for e in elements if e in self)
 
     def __repr__(self):
         return f"Ultrafilter(atom={self.atom}/{self.algebra.atom_count})"

@@ -934,6 +934,10 @@ def _run(args) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"out of memory: {args.command} needs more memory than the process may use",
+              file=sys.stderr)
+        return 2
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 3

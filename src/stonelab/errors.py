@@ -2,7 +2,7 @@
 of size caps whose refusal is a CapExceededError.
 
 Exit-code mapping used by the CLI: ValidationError -> 1,
-CapExceededError -> 2, OracleMismatchError -> 3.
+CapExceededError and MemoryError -> 2, OracleMismatchError -> 3.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ class LintWarning(UserWarning):
 
 ATOMS = Cap("atoms", 64, 1024, "--cap-atoms", "STONELAB_CAP_ATOMS",
             "atom_count {attempted} exceeds cap {limit}")
-ELEMENTS = Cap("algebra elements", 20, None, None, None,
-               "enumerating 2^{attempted} elements is not supported")
 # The two point rows share a knob, so they share its default.
 POSET_POINTS = Cap("poset points", 20, None, "--cap-enum", "STONELAB_CAP_ENUM",
                    "poset has {attempted} points (cap {limit}); |FS(P)| could reach 2^{attempted}")

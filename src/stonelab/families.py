@@ -11,11 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .algebra import Element, FiniteBooleanAlgebra, Ultrafilter
 from .bits import set_label, supersets, transpose, unseparated_pair, upper_covers
-from .errors import AlgebraMismatchError, LintWarning, ValidationError
+from .errors import LintWarning, ValidationError
 
 
 @dataclass(frozen=True)
@@ -150,11 +149,6 @@ class T0Result(NamedTuple):
 NOT_GENERATING = "generator set does not generate the whole algebra; selection value computed anyway"
 
 
-class SelectionResult(NamedTuple):
-    value: int
-    witness: Ultrafilter
-
-
 def family_from_sets(points: PointSet, sets) -> SeparatingFamily:
     """Build a family from raw masks or iterables of points, member i
     labeled ``U`` + i."""
@@ -168,21 +162,6 @@ def family_from_sets(points: PointSet, sets) -> SeparatingFamily:
                 mask |= 1 << p
         members.append(Member(f"U{i}", mask))
     return SeparatingFamily(points, tuple(members))
-
-
-def family_from_elements(algebra: FiniteBooleanAlgebra, elements: Sequence[Element]) -> SeparatingFamily:
-    """View algebra elements as a family over the atom point set, member i
-    labeled ``g`` + i."""
-    members = tuple(Member(f"g{i}", e.bits) for i, e in enumerate(elements))
-    return SeparatingFamily(PointSet(algebra.atom_count), members)
-
-
-def order_at(family: SeparatingFamily, point: int) -> int:
-    """ord(point, family): number of members containing the point."""
-    if not 0 <= point < family.points.size:
-        raise ValidationError(f"point {point} out of range")
-    bit = 1 << point
-    return sum(1 for m in family.members if m.bits & bit)
 
 
 def point_signatures(family: SeparatingFamily) -> tuple[int, ...]:
@@ -206,20 +185,3 @@ def order_profile(family: SeparatingFamily) -> OrderProfile:
     max_order = max(per_point)
     argmax = tuple(p for p, o in enumerate(per_point) if o == max_order)
     return OrderProfile(per_point, max_order, argmax)
-
-
-def selection_value(algebra: FiniteBooleanAlgebra, generators: Sequence[Element]) -> SelectionResult:
-    """max over ultrafilters p of |p & G|, with one maximizing ultrafilter.
-
-    Equals the maximum point order of G viewed as a family over the atoms.
-    Warns when G does not generate the algebra.
-    """
-    if any(g.algebra != algebra for g in generators):
-        raise AlgebraMismatchError("algebra mismatch")
-    patterns = transpose([g.bits for g in generators], algebra.atom_count)
-    if unseparated_pair(patterns) is not None:
-        warnings.warn(NOT_GENERATING, LintWarning, stacklevel=2)
-    orders = [sig.bit_count() for sig in patterns]
-    best_value = max(orders)
-    return SelectionResult(best_value, Ultrafilter(algebra, orders.index(best_value)))
-

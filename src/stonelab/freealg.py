@@ -116,13 +116,6 @@ class FreeElement:
     __or__ = join
     __invert__ = complement
 
-    def leq(self, other: "FreeElement") -> bool:
-        self._check(other)
-        return self.table & ~other.table == 0
-
-    def is_zero(self) -> bool:
-        return self.table == 0
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -134,10 +127,6 @@ class Assignment:
     @property
     def support(self) -> tuple[int, ...]:
         return points(self.bits)
-
-    @property
-    def support_size(self) -> int:
-        return self.bits.bit_count()
 
 
 def min_support_ultrafilter(w: FreeElement) -> tuple[Assignment, int]:

@@ -176,9 +176,6 @@ class SigmaTree:
     def size(self) -> int:
         return len(self.nodes)
 
-    def height(self) -> int:
-        return 1 + max(len(n) for n in self.nodes)
-
     def to_forest(self) -> FiniteForest:
         index = {node: i for i, node in enumerate(self.nodes)}
         return FiniteForest(

@@ -172,7 +172,7 @@ def prime_filters_by_enumeration(lattice):
         base = [p for p in range(lattice.poset.size) if lattice.poset.up[p] == minimum]
         if not base:
             raise OracleMismatchError(f"prime filter minimum {minimum:b} is not some [p,->)")
-        primes.append(PrimeFilterInfo(tuple(idxs), index[minimum], base[0]))
+        primes.append(PrimeFilterInfo(fmask, index[minimum], base[0]))
     return tuple(sorted(primes, key=lambda pf: pf.poset_element))
 
 

@@ -89,9 +89,6 @@ class FinitePoset:
     def antichain(cls, n: int) -> "FinitePoset":
         return cls(tuple(1 << i for i in range(n)))
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
-
     def strict_down(self, p: int) -> int:
         return self.down[p] & ~(1 << p)
 
@@ -195,7 +192,7 @@ def generator_orientation(lattice: FinalSegmentLattice) -> str:
 class PrimeFilterInfo:
     """A prime filter of the segment lattice with its minimum and base element."""
 
-    filter_indices: tuple[int, ...]  # indices into lattice.segments
+    filter_mask: int  # bit a set when lattice.segments[a] is in the filter
     minimum_index: int
     poset_element: int
 
@@ -224,7 +221,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
             fmask &= holders[e]
         if not any(holders[e] & ~fmask == 0 for e in elements):
             raise OracleMismatchError("prime filters do not biject with the poset")
-        primes.append(PrimeFilterInfo(points(fmask), index[seg], p))
+        primes.append(PrimeFilterInfo(fmask, index[seg], p))
     return tuple(primes)
 
 
@@ -314,12 +311,6 @@ class MeetSemilattice:
         return cls(
             [[i if i == j else 0 for j in range(n)] for i in range(n)]
         )
-
-    def meet(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.table[i][j] == i
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,6 @@ class FiniteForest:
         self.parent = tuple(parent)
         self.ancestors = tuple(ancestors)  # strict ancestor masks
 
-    @classmethod
-    def chain(cls, n: int) -> "FiniteForest":
-        return cls([None] + list(range(n - 1)) if n else [])
-
     def depth(self, t: int) -> int:
         """Number of nodes on the path from the root to t, inclusive."""
         return self.ancestors[t].bit_count() + 1

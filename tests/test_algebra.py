@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
 
@@ -14,7 +13,7 @@ from stonelab import (
     generated_subalgebra,
     generates_whole,
 )
-from stonelab.families import family_from_elements, is_t0_separating, order_at
+from stonelab.families import PointSet, family_from_sets, is_t0_separating
 from stonelab.oracles import closure_generates
 
 
@@ -23,64 +22,9 @@ def alg(n):
 
 
 class TestElementOps:
-    def test_meet_example(self):
-        B = alg(3)
-        assert B.element([0, 1]).meet(B.element([1, 2])).atoms() == (1,)
-
-    def test_complement_of_zero_is_one(self):
-        B = alg(4)
-        assert B.zero.complement() == B.one
-
-    def test_symdiff_self_is_zero(self):
-        B = alg(5)
-        rng = random.Random(7)
-        for _ in range(50):
-            a = B.element(rng.randrange(1 << 5))
-            assert a.symdiff(a) == B.zero
-
-    def test_leq_is_subset(self):
-        B = alg(3)
-        assert B.element([0]).leq(B.element([0, 2]))
-        assert not B.element([0, 1]).leq(B.element([0, 2]))
-
     def test_mismatched_algebras_raise(self):
         with pytest.raises(AlgebraMismatchError):
-            alg(3).one.meet(alg(4).one)
-
-    def test_operators(self):
-        B = alg(3)
-        a, b = B.element([0, 1]), B.element([1, 2])
-        assert (a & b).bits == a.meet(b).bits
-        assert (a | b).bits == a.join(b).bits
-        assert (a ^ b).bits == a.symdiff(b).bits
-        assert (~a).bits == a.complement().bits
-
-
-@given(st.integers(1, 8), st.data())
-def test_boolean_laws_hypothesis(n, data):
-    B = alg(n)
-    draw = lambda: B.element(data.draw(st.integers(0, B.full_mask)))
-    a, b, c = draw(), draw(), draw()
-    assert ~(a & b) == ~a | ~b
-    assert ~(a | b) == ~a & ~b
-    assert a & (a | b) == a
-    assert a | (a & b) == a
-    assert a & (b | c) == (a & b) | (a & c)
-    assert a | (b & c) == (a | b) & (a | c)
-
-
-def test_boolean_laws_randomized_bulk():
-    # de Morgan, absorption, distributivity over >= 10^4 random triples
-    rng = random.Random(42)
-    checked = 0
-    while checked < 10_500:
-        n = rng.randint(1, 10)
-        B = alg(n)
-        a, b, c = (B.element(rng.randrange(1 << n)) for _ in range(3))
-        assert ~(a & b) == ~a | ~b
-        assert a & (a | b) == a
-        assert a & (b | c) == (a & b) | (a & c)
-        checked += 1
+            generated_subalgebra(alg(3), [alg(4).element(1)])
 
 
 class TestGeneratedSubalgebra:
@@ -105,7 +49,7 @@ class TestGeneratesWhole:
     def test_singletons_generate(self):
         for n in range(1, 8):
             B = alg(n)
-            assert generates_whole(B, B.singletons())
+            assert generates_whole(B, [B.element([a]) for a in range(n)])
 
     def test_pair_not_separated(self):
         B = alg(3)
@@ -130,7 +74,7 @@ class TestGeneratesWhole:
             n = rng.randint(1, 8)
             B = alg(n)
             gens = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 6))]
-            fam = family_from_elements(B, gens)
+            fam = family_from_sets(PointSet(n), [g.bits for g in gens])
             assert generates_whole(B, gens) == is_t0_separating(fam).separating
 
 
@@ -159,17 +103,6 @@ class TestClosure:
                 assert closure_of_ultrafilter_set(B, A) == frozenset(A)
 
 
-def test_trace_size_equals_order():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        B = alg(n)
-        gens = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 7))]
-        fam = family_from_elements(B, gens)
-        for p in B.ultrafilters():
-            assert len(p.trace(gens)) == order_at(fam, p.atom)
-
-
 class TestValidation:
     def test_atom_count_positive(self):
         with pytest.raises(ValidationError):
@@ -186,8 +119,3 @@ class TestValidation:
         B = alg(3)
         with pytest.raises(ValidationError):
             B.element(1 << 3)
-
-    def test_element_enumeration_cap(self):
-        B = FiniteBooleanAlgebra(40, cap=64)
-        with pytest.raises(CapExceededError):
-            list(B.elements())

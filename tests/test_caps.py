@@ -1,5 +1,6 @@
 """The table of caps: each row's refusal, the CLI knobs that set a row's
-limit, and a guard that keeps every cap declared once, in ``errors.py``."""
+limit, and a guard that keeps every cap declared once, in ``errors.py``;
+and the guards that keep every option and every public name in use."""
 
 import ast
 import time
@@ -29,7 +30,8 @@ from stonelab import errors as E
 from stonelab.cli import POOLS, build_parser, build_structure, main, system_from_json
 from stonelab.oracles import is_free_sequence_naive
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stonelab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stonelab"
 
 
 def _pool(points: int, candidates: int) -> GeneratorPool:
@@ -46,8 +48,6 @@ def _sigma_tree_past(cap: int):
 # rows whose default is costly to reach pass a smaller limit
 CASES = {
     E.ATOMS: (lambda: FiniteBooleanAlgebra(65), 65, 64, "atom_count 65 exceeds cap 64"),
-    E.ELEMENTS: (lambda: next(FiniteBooleanAlgebra(21).elements()), 21, 20,
-                 "enumerating 2^21 elements is not supported"),
     E.POSET_POINTS: (lambda: final_segments(FinitePoset.antichain(21)), 21, 20,
                      "poset has 21 points (cap 20); |FS(P)| could reach 2^21"),
     E.SEMILATTICE_POINTS: (lambda: filters(MeetSemilattice.chain(21)), 21, 20,
@@ -76,7 +76,7 @@ CASES = {
 
 def test_every_row_has_a_case():
     assert set(CASES) == set(E.CAPS)
-    assert len(E.CAPS) == 13
+    assert len(E.CAPS) == 12
 
 
 @pytest.mark.parametrize("row", E.CAPS, ids=lambda row: row.name)
@@ -291,3 +291,87 @@ def test_every_option_has_a_caller():
         if path.name != "oracles.py":
             found |= _options(path)
     assert found == OPTIONS
+
+
+# Public names that nothing in src/ or bench/ names outside its own
+# definition, each kept for the reason given.
+UNCALLED = {
+    ("combinators", "singleton_system"),  # a test fixture (23 uses)
+    ("combinators", "system_from_sets"),  # a test fixture (18 uses)
+    ("orders", "FinitePoset.antichain"),  # a test fixture (13 uses)
+    ("orders", "MeetSemilattice.antichain_with_bottom"),  # a test fixture (7 uses)
+}
+
+
+def _definitions(src: Path) -> dict:
+    """(module, name) -> (path, node, its class or None) for each public
+    function, class and method (dunders aside) outside ``oracles.py``."""
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                found[path.stem, node.name] = (path, node, None)
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        found[path.stem, f"{node.name}.{item.name}"] = (path, item, node)
+    return found
+
+
+def _uses(paths) -> list:
+    """(name, path, line, kind, receiver) for each bare name, attribute and
+    string passed as a keyword argument (``set_defaults(func="cmd_...")``);
+    ``receiver`` is the bare name an attribute is read off."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.append((node.id, path, node.lineno, "name", None))
+            elif isinstance(node, ast.Attribute):
+                found.append((node.attr, path, node.lineno, "attr",
+                              getattr(node.value, "id", None)))
+            elif isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant):
+                found.append((node.value.value, path, node.value.lineno, "attr", None))
+    return found
+
+
+def uncalled_names(root: Path, kept=frozenset()) -> set:
+    """The public names of ``root``'s package that no code in its src/ or
+    bench/ names outside their own definitions, ``__init__.py``'s re-exports
+    aside.  A method counts as named by an attribute (one read off a class
+    name only for that class) or by an alias in its class body.  A name
+    used only inside unused definitions is unused too; ``kept`` names are
+    taken as used."""
+    src = root / "src" / "stonelab"
+    defs = _definitions(src)
+    classes = {name for _, name in defs if "." not in name}
+    uses = _uses([p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+                 + sorted((root / "bench").glob("*.py")))
+
+    def within(path, line, span):
+        return path == span[0] and span[1].lineno <= line <= span[1].end_lineno
+
+    def named(key, use, dead):
+        path, node, owner = defs[key]
+        name, where, line, kind, receiver = use
+        return (name == key[1].rsplit(".", 1)[-1]
+                and not within(where, line, (path, node))
+                and (owner is None or kind == "attr" or within(where, line, (path, owner)))
+                and (owner is None or receiver not in classes or receiver == owner.name)
+                and not any(within(where, line, defs[d]) for d in dead))
+
+    dead: set = set()
+    while True:
+        new = {key for key in defs if key not in dead | kept
+               and not any(named(key, use, dead) for use in uses)}
+        if not new:
+            return dead
+        dead |= new
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only tests call is deleted, or listed with its
+    reason: the listed names are unused, and every other name is used."""
+    assert UNCALLED <= uncalled_names(ROOT)
+    assert uncalled_names(ROOT, UNCALLED) == set()

@@ -593,26 +593,43 @@ class TestLargeInputs:
         assert elapsed < 1.0
 
     def test_antichain_duality_under_memory_limit(self):
-        """The 16-antichain duality in a child whose address space is
-        limited to 256 MB (``RLIMIT_AS``, set in the child only).  The run
-        peaks near 53 MB resident, so the limit leaves the interpreter and
-        its libraries ample room; an m x m matrix over the 2^16 segments
-        would need 512 MB alone, so a run that builds one ends in a
-        MemoryError under it."""
+        """The 16- and 18-antichain duality in a child whose address space
+        is limited (``RLIMIT_AS``, set in the child only).
+        - 16 points under 256 MB: the run peaks near 36 MB resident; an
+          m x m matrix over the 2^16 segments would need 512 MB alone.
+        - 18 points under 128 MB: the run peaks near 90 MB resident with
+          each prime filter kept as its segment mask; as 2^17 int indices
+          per filter it needed about 180 MB and ended in a MemoryError."""
         import resource
 
-        limit = 256 << 20
         src = str(Path(cli.__file__).parents[1])
-        start = time.perf_counter()
+        for n, limit, seconds in ((16, 256 << 20, 3.0), (18, 128 << 20, 10.0)):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "stonelab", "analyze", "--kind", "poset",
+                 "--size", str(n), "--analysis", "duality"],
+                capture_output=True, text=True, env={"PYTHONPATH": src},
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+            elapsed = time.perf_counter() - start
+            assert proc.returncode == 0, proc.stderr[-500:]
+            assert json.loads(proc.stdout)["results"]["prime_filter_count"] == n
+            assert elapsed < seconds
+
+    def test_out_of_memory_is_one_line(self):
+        """A run that exhausts its address space (``RLIMIT_AS`` of 48 MB, set
+        in the child only) exits 2 with one stderr line naming the command:
+        the 18-antichain duality cannot build its segment lattice there."""
+        import resource
+
+        limit = 48 << 20
         proc = subprocess.run(
-            [sys.executable, "-m", "stonelab", "analyze", "--kind", "poset", "--size", "16",
+            [sys.executable, "-m", "stonelab", "analyze", "--kind", "poset", "--size", "18",
              "--analysis", "duality"],
-            capture_output=True, text=True, env={"PYTHONPATH": src},
+            capture_output=True, text=True, env={"PYTHONPATH": str(Path(cli.__file__).parents[1])},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, proc.stderr[-500:]
-        assert json.loads(proc.stdout)["results"]["prime_filter_count"] == 16
-        assert elapsed < 3.0
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("out of memory: analyze")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--pool", "upsets"],

@@ -14,7 +14,7 @@ from stonelab import (
     system_from_sets,
 )
 from stonelab.bits import iter_bits
-from stonelab.families import is_t0_separating, order_at, order_profile
+from stonelab.families import is_t0_separating, order_profile
 
 # random instances legitimately produce duplicate members; the lint is tested explicitly
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
@@ -82,7 +82,7 @@ class TestSum:
         out = sum_with_point([singleton_system(2)] * 3)
         assert out.points.size == 7
         assert out.base_point == 6
-        assert order_at(out.family, out.base_point) == 0
+        assert order_profile(out.family).per_point[out.base_point] == 0
         assert order_profile(out.family).max_order == 1
         assert is_t0_separating(out.family).separating
 
@@ -94,7 +94,7 @@ class TestSum:
     def test_single_component(self):
         out = sum_with_point([singleton_system(3)])
         assert out.points.size == 4
-        assert order_at(out.family, out.base_point) == 0
+        assert order_profile(out.family).per_point[out.base_point] == 0
 
     def test_component_orders_unchanged(self):
         rng = random.Random(23)
@@ -185,7 +185,7 @@ class TestPorcupine:
         res = porcupine(PorcupineSpec(X, fibers, (0, 0, 0)))
         prof = order_profile(res.system.family)
         for d in res.decomposition:
-            assert d.v_star == order_at(X.family, d.point)
+            assert d.v_star == order_profile(X.family).per_point[d.point]
             assert d.total == prof.per_point[d.point]
 
     def test_decomposition_sums_to_order(self):

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
 
 from stonelab import (
-    FiniteBooleanAlgebra,
     FiniteForest,
     FinitePoset,
     LintWarning,
@@ -26,17 +26,15 @@ from stonelab import (
 )
 from stonelab.bits import set_label
 from stonelab.families import (
+    NOT_GENERATING,
     Member,
     PointSet,
     SeparatingFamily,
     SetSpace,
-    family_from_elements,
     family_from_sets,
     is_t0_separating,
-    order_at,
     order_profile,
     point_signatures,
-    selection_value,
 )
 from stonelab.orders import clopen_filter_family
 
@@ -52,19 +50,14 @@ def singletons(n):
 class TestOrd:
     def test_direct_count(self):
         f = fam(4, [{0, 1}, {1, 2}, {2, 3}])
-        assert order_at(f, 1) == 2
+        assert order_profile(f).per_point[1] == 2
 
     def test_empty_family(self):
         f = fam(3, [])
-        for x in range(3):
-            assert order_at(f, x) == 0
+        assert order_profile(f).per_point == (0, 0, 0)
 
     def test_singletons(self):
-        assert order_at(singletons(4), 2) == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            order_at(singletons(3), 3)
+        assert order_profile(singletons(4)).per_point[2] == 1
 
     def test_monotone_under_member_addition(self):
         rng = random.Random(5)
@@ -118,39 +111,42 @@ class TestOrderProfile:
 
 
 class TestSelectionValue:
+    """The selection value of generators G over the atoms, max over
+    ultrafilters p of |p & G|, is the maximum point order of G as a family
+    over the atoms; its witness is the first atom reaching it."""
+
     def test_singletons_value_one(self):
-        B = FiniteBooleanAlgebra(4)
-        value, witness = selection_value(B, B.singletons())
-        assert value == 1
-        assert witness.atom == 0
+        prof = order_profile(singletons(4))
+        assert prof.max_order == 1
+        assert prof.argmax_points[0] == 0
 
     def test_chain_interval_generators(self):
-        B = FiniteBooleanAlgebra(3)
-        tails = [B.element({a for a in range(i, 3)}) for i in range(3)]
-        value, witness = selection_value(B, tails)
-        assert value == 3
-        assert witness.atom == 2
+        tails = [{a for a in range(i, 3)} for i in range(3)]
+        prof = order_profile(fam(3, tails))
+        assert prof.max_order == 3
+        assert prof.argmax_points[0] == 2
 
-    def test_constant_one_generator(self):
-        B = FiniteBooleanAlgebra(5)
-        with pytest.warns(LintWarning):
-            value, _ = selection_value(B, [B.one])
-        assert value == 1
+    def test_constant_one_generator(self, tmp_path, capsys):
+        f = tmp_path / "one.json"
+        f.write_text(json.dumps({"kind": "system", "points": 5,
+                                 "members": [{"set": [0, 1, 2, 3, 4]}]}))  # G = [1]
+        assert cli.main(["analyze", "--in", str(f), "--analysis", "selection",
+                         "--pool", "free"]) == 0
+        captured = capsys.readouterr()
+        results = json.loads(captured.out)["results"]
+        assert results["selection_value"] == 1
+        assert results["generates_whole"] is False
+        assert captured.err == f"warning: {NOT_GENERATING}\n"
 
     def test_matches_order_profile_max(self):
         rng = random.Random(9)
         for _ in range(200):
             n = rng.randint(1, 9)
-            B = FiniteBooleanAlgebra(n)
-            gens = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(1, 7))]
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                value, witness = selection_value(B, gens)
-                prof = order_profile(family_from_elements(B, gens))
-            assert value == prof.max_order
-            assert prof.per_point[witness.atom] == value
+            gens = [rng.randrange(1 << n) for _ in range(rng.randint(1, 7))]
+            prof = order_profile(fam(n, gens))
+            value = max(sum(g >> a & 1 for g in gens) for a in range(n))
+            assert prof.max_order == value
+            assert prof.per_point[prof.argmax_points[0]] == value
 
 
 class TestPointFiniteness:
@@ -171,7 +167,7 @@ class TestLint:
         with pytest.warns(LintWarning):
             f = SeparatingFamily(pts, (Member("a", 3), Member("b", 3)))
         # multiset semantics: duplicates count multiply
-        assert order_at(f, 0) == 2
+        assert order_profile(f).per_point[0] == 2
 
     def test_labels_preserved(self):
         f = family_from_sets(PointSet(2, ("p", "q")), [{0}])

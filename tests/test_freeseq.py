@@ -46,8 +46,8 @@ class TestFreenessCheck:
 
     def test_constants_never_free(self):
         B = FiniteBooleanAlgebra(3)
-        assert not is_free_sequence(B, [B.zero])
-        assert not is_free_sequence(B, [B.one])
+        assert not is_free_sequence(B, [B.element(0)])
+        assert not is_free_sequence(B, [B.element(B.full_mask)])
 
     def test_term_of_another_algebra(self):
         B, C = FiniteBooleanAlgebra(3), FiniteBooleanAlgebra(2)
@@ -156,7 +156,7 @@ class TestSigmaTree:
         pool = [B.element(m) for m in range(1, B.full_mask)]
         tree = sigma_tree(B, pool)
         assert tree.size == 3  # root plus the two singleton sequences
-        assert tree.height() == 2
+        assert tree.to_forest().height() == 2
         sys_ = sigma_squared(tree)
         assert order_profile(sys_.family).max_order == 2
 
@@ -170,7 +170,7 @@ class TestSigmaTree:
     def test_chain_pool_height(self):
         B = FiniteBooleanAlgebra(4)
         tree = sigma_tree(B, chain_tails(B))
-        assert tree.height() == 4  # 1 + longest free sequence (3)
+        assert tree.to_forest().height() == 4  # 1 + longest free sequence (3)
         assert order_profile(sigma_squared(tree).family).max_order == 4
 
     def test_full_pool_height_matches_longest(self):
@@ -178,7 +178,7 @@ class TestSigmaTree:
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(m) for m in range(1, B.full_mask)]
             tree = sigma_tree(B, pool)
-            assert tree.height() == longest_free_sequence(B, pool=pool).length + 1
+            assert tree.to_forest().height() == longest_free_sequence(B, pool=pool).length + 1
 
     def test_height_matches_longest_search(self):
         rng = random.Random(12)
@@ -188,7 +188,7 @@ class TestSigmaTree:
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(1, 5))]
             tree = sigma_tree(B, pool)
             best = longest_free_sequence(B, pool=pool)
-            assert tree.height() == best.length + 1
+            assert tree.to_forest().height() == best.length + 1
 
     def test_node_cap(self):
         B = FiniteBooleanAlgebra(4)
@@ -278,7 +278,8 @@ class TestCellSearch:
             n = rng.randint(1, 5)
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(0, 6))]
-            pool += rng.sample(pool, min(len(pool), 2)) + [B.zero, B.one][:rng.randint(0, 2)]
+            constants = [B.element(0), B.element(B.full_mask)]
+            pool += rng.sample(pool, min(len(pool), 2)) + constants[:rng.randint(0, 2)]
             rng.shuffle(pool)
             # enumerated past n - 1: no free sequence is longer
             expected = sigma_tree_by_enumeration(B.full_mask, [e.bits for e in pool], n + 1)

@@ -13,6 +13,11 @@ from stonelab.families import is_t0_separating, order_profile
 from stonelab.oracles import paths_bruteforce, rooted_tree_shapes
 
 
+def chain_forest(n):
+    """The n-node path: node i's parent is i - 1."""
+    return FiniteForest([None] + list(range(n - 1)))
+
+
 class TestForest:
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError):
@@ -28,7 +33,7 @@ class TestForest:
 
     def test_chain_heights(self):
         for n in range(1, 6):
-            assert FiniteForest.chain(n).height() == n
+            assert chain_forest(n).height() == n
 
     def test_empty(self):
         f = FiniteForest([])
@@ -114,7 +119,7 @@ class TestSigmaSystem:
 
     def test_chain_tree(self):
         for n in range(1, 7):
-            sys_ = sigma_system(FiniteForest.chain(n))
+            sys_ = sigma_system(chain_forest(n))
             assert order_profile(sys_.family).max_order == n
 
     def test_empty_tree(self):
@@ -137,7 +142,7 @@ class TestSigmaSystem:
 
 class TestInitialChainAlgebra:
     def test_chain_three_full(self):
-        res = initial_chain_algebra(FiniteForest.chain(3))
+        res = initial_chain_algebra(chain_forest(3))
         assert res.generates_whole
         assert res.partition.blocks == (1, 2, 4)
         assert [g.bits for g in res.generators] == [0b000, 0b001, 0b011]
