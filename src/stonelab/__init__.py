@@ -5,13 +5,10 @@ from .algebra import (
     Element,
     FiniteBooleanAlgebra,
     SubalgebraPartition,
-    Ultrafilter,
-    closure_of_ultrafilter_set,
     generated_subalgebra,
     generates_whole,
 )
 from .combinators import (
-    PointedSystem,
     PorcupineResult,
     PorcupineSpec,
     alexandrov_duplication,
@@ -33,6 +30,7 @@ from .errors import (
 from .families import (
     Member,
     OrderProfile,
+    PointedSystem,
     PointSet,
     SeparatingFamily,
     family_from_sets,
@@ -66,9 +64,7 @@ from .orders import (
     final_segments,
     generator_orientation,
     modest_analysis,
-    poset_system,
     prime_clopen_filters,
-    semilattice_system,
 )
 from .solver import (
     GeneratorPool,

@@ -56,14 +56,6 @@ class FiniteBooleanAlgebra:
             mask |= 1 << a
         return Element(self, mask)
 
-    def ultrafilter(self, atom: int) -> "Ultrafilter":
-        if not 0 <= atom < self.atom_count:
-            raise ValidationError(f"atom index {atom} out of range")
-        return Ultrafilter(self, atom)
-
-    def ultrafilters(self) -> tuple["Ultrafilter", ...]:
-        return tuple(Ultrafilter(self, a) for a in range(self.atom_count))
-
 
 @dataclass(frozen=True)
 class Element:
@@ -84,21 +76,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({{{','.join(map(str, self.atoms()))}}}/{self.algebra.atom_count})"
-
-
-@dataclass(frozen=True)
-class Ultrafilter:
-    """An ultrafilter of a finite algebra, i.e. a principal filter at an atom."""
-
-    algebra: FiniteBooleanAlgebra
-    atom: int
-
-    def __post_init__(self):
-        if not 0 <= self.atom < self.algebra.atom_count:
-            raise ValidationError(f"atom index {self.atom} out of range")
-
-    def __repr__(self):
-        return f"Ultrafilter(atom={self.atom}/{self.algebra.atom_count})"
 
 
 @dataclass(frozen=True)
@@ -148,33 +125,3 @@ def generates_whole(algebra: FiniteBooleanAlgebra, generators) -> bool:
     T0-separation test of the family module over the atom point set.
     """
     return generated_subalgebra(algebra, generators).is_full()
-
-
-def closure_of_ultrafilter_set(algebra: FiniteBooleanAlgebra, ultrafilters) -> frozenset:
-    """Topological closure of a set of ultrafilters, from the membership formula.
-
-    An ultrafilter p lies in the closure iff every element of p belongs to
-    some member of the input set.  Evaluated literally (quantifier over all
-    2^(n-1) elements of p), not via the discrete-space shortcut, so the
-    identity ``closure(A) == A`` is a genuine check.  Exponential in
-    atom_count; intended for desk-scale algebras.
-    """
-    members = []
-    for u in ultrafilters:
-        if u.algebra != algebra:
-            raise AlgebraMismatchError("algebra mismatch")
-        members.append(u)
-    atom_bits = [1 << u.atom for u in members]
-    out = []
-    for p in algebra.ultrafilters():
-        pbit = 1 << p.atom
-        in_closure = True
-        for mask in range(1 << algebra.atom_count):
-            if not mask & pbit:
-                continue  # not an element of p
-            if not any(mask & ab for ab in atom_bits):
-                in_closure = False
-                break
-        if in_closure:
-            out.append(p)
-    return frozenset(out)

@@ -21,7 +21,6 @@ from . import dot as dotmod
 from .algebra import FiniteBooleanAlgebra
 from .bits import index_text, points
 from .combinators import (
-    PointedSystem,
     PorcupineSpec,
     alexandrov_duplication,
     porcupine,
@@ -44,6 +43,7 @@ from .errors import (
 from .families import (
     NOT_GENERATING,
     Member,
+    PointedSystem,
     PointSet,
     SeparatingFamily,
     is_t0_separating,
@@ -59,9 +59,7 @@ from .orders import (
     final_segments,
     generator_orientation,
     modest_analysis,
-    poset_system,
     prime_clopen_filters,
-    semilattice_system,
 )
 from .solver import GeneratorPool, min_max_order, preset_pool
 from .trees import FiniteForest, initial_chain_algebra, sigma_system
@@ -267,7 +265,7 @@ def system_from_json(data: dict) -> PointedSystem:
     base = data.get("base_point")
     if base is not None and not _is_int(base):
         raise ValidationError(f"system 'base_point' must be an integer point or null, got {base!r}")
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), base)
+    return PointedSystem(SeparatingFamily(pts, tuple(members)), base)
 
 
 def _member_mask(member, size: int, i: int) -> int:
@@ -295,8 +293,8 @@ class _Mask(int):
 def system_to_json(system: PointedSystem, extra=None) -> dict:
     data = {
         "kind": "system",
-        "points": system.points.size,
-        "labels": [system.points.label(i) for i in range(system.points.size)],
+        "points": system.size,
+        "labels": list(map(system.points.label, range(system.size))),
         "members": [{"label": m.label, "set": _Mask(m.bits)} for m in system.family.members],
         "base_point": system.base_point,
     }
@@ -482,13 +480,12 @@ def _selection(args, structure):
 
 def _duality(args, poset):
     lattice = final_segments(poset, cap=args.cap_enum)
-    system = poset_system(lattice)
     primes = prime_clopen_filters(lattice)
     witnesses = [discrete_witness(poset, p) for p in range(poset.size)]
     results = {
         "segment_count": lattice.size,
         "segments": list(lattice.labels),
-        "family": _family_payload(system.family),
+        "family": _family_payload(lattice.family("a_")),
         "prime_filter_count": len(primes),
         "prime_filter_minima": [lattice.labels[pf.minimum_index] for pf in primes],
         "bijection_with_poset": len(primes) == poset.size,
@@ -507,13 +504,12 @@ def _duality(args, poset):
 
 def _modest(args, structure):
     lattice = filters(structure, cap=args.cap_enum)
-    system = semilattice_system(lattice)
     analysis_report = modest_analysis(lattice)
     labels = lattice.labels
     results = {
         "filter_count": lattice.size,
         "filters": list(labels),
-        "family": _family_payload(system.family),
+        "family": _family_payload(lattice.family("a_")),
         "compact_elements": [labels[i] for i in analysis_report.compact_elements],
         "immediate_predecessor_counts": list(
             analysis_report.immediate_predecessor_counts

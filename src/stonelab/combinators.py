@@ -1,4 +1,4 @@
-"""Family-building combinators on (point set, family) systems.
+"""Family-building combinators on pointed systems.
 
 Products, one-point sums, Alexandrov duplication and porcupine gluings,
 each with verifiable order arithmetic.  Member labels record provenance so
@@ -9,44 +9,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from .bits import points, transpose
 from .errors import PRODUCT_POINTS, LintWarning, ValidationError
-from .families import Member, PointSet, SeparatingFamily, family_from_sets, is_t0_separating
-
-
-@dataclass(frozen=True)
-class PointedSystem:
-    """A point set together with a witnessing family and an optional base point."""
-
-    points: PointSet
-    family: SeparatingFamily
-    base_point: Optional[int] = None
-
-    def __post_init__(self):
-        if self.family.points != self.points:
-            raise ValidationError("family must be over the system's point set")
-        if self.base_point is not None and not 0 <= self.base_point < self.points.size:
-            raise ValidationError("base point out of range")
-
-    @property
-    def size(self) -> int:
-        return self.points.size
+from .families import (Member, PointedSystem, PointSet, SeparatingFamily, family_from_sets,
+                       is_t0_separating)
 
 
 def system_from_sets(size: int, sets) -> PointedSystem:
     """The system over ``size`` unlabeled points whose family is
     ``families.family_from_sets`` of ``sets``."""
-    pts = PointSet(size)
-    return PointedSystem(pts, family_from_sets(pts, sets))
+    return PointedSystem(family_from_sets(PointSet(size), sets))
 
 
 def singleton_system(size: int) -> PointedSystem:
     """The discrete system whose family is all singletons."""
-    pts = PointSet(size)
     members = tuple(Member(f"pt{i}", 1 << i) for i in range(size))
-    return PointedSystem(pts, SeparatingFamily(pts, members))
+    return PointedSystem(SeparatingFamily(PointSet(size), members))
 
 
 def _warn_if_not_t0(system: PointedSystem, role: str):
@@ -70,10 +49,8 @@ def product_system(s1: PointedSystem, s2: PointedSystem) -> PointedSystem:
     PRODUCT_POINTS.check(n1 * n2)
     _warn_if_not_t0(s1, "left")
     _warn_if_not_t0(s2, "right")
-    labels = tuple(
-        f"({s1.points.label(i)},{s2.points.label(j)})"
-        for i in range(n1) for j in range(n2)
-    )
+    label1, label2 = s1.points.label, s2.points.label
+    labels = tuple(f"({label1(i)},{label2(j)})" for i in range(n1) for j in range(n2))
     pts = PointSet(n1 * n2, labels)
     row = (1 << n2) - 1  # all (i, *) for fixed i
     members = []
@@ -93,7 +70,7 @@ def product_system(s1: PointedSystem, s2: PointedSystem) -> PointedSystem:
     base = None
     if s1.base_point is not None and s2.base_point is not None:
         base = s1.base_point * n2 + s2.base_point
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), base)
+    return PointedSystem(SeparatingFamily(pts, tuple(members)), base)
 
 
 def sum_with_point(systems) -> PointedSystem:
@@ -114,14 +91,14 @@ def sum_with_point(systems) -> PointedSystem:
     inf_index = total
     labels = []
     for k, s in enumerate(systems):
-        labels.extend(f"{k}.{s.points.label(i)}" for i in range(s.size))
+        labels.extend(f"{k}.{label}" for label in map(s.points.label, range(s.size)))
     labels.append("inf")
     pts = PointSet(total + 1, tuple(labels))
     members = []
     for k, s in enumerate(systems):
         for m in s.family.members:
             members.append(Member(f"sum:{k}:{m.label}", m.bits << offsets[k]))
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), inf_index)
+    return PointedSystem(SeparatingFamily(pts, tuple(members)), inf_index)
 
 
 def alexandrov_duplication(system: PointedSystem, dup_points) -> PointedSystem:
@@ -138,20 +115,18 @@ def alexandrov_duplication(system: PointedSystem, dup_points) -> PointedSystem:
         if not 0 <= x < n:
             raise ValidationError(f"duplicated point {x} out of range")
     dup_index = {x: n + i for i, x in enumerate(dup)}
-    labels = [f"({system.points.label(i)},0)" for i in range(n)]
-    labels += [f"({system.points.label(x)},1)" for x in dup]
+    label = system.points.label
+    labels = [f"({label(i)},0)" for i in range(n)]
+    labels += [f"({label(x)},1)" for x in dup]
     pts = PointSet(n + len(dup), tuple(labels))
-    members = [
-        Member(f"dup:pt:{system.points.label(x)}", 1 << dup_index[x]) for x in dup
-    ]
+    members = [Member(f"dup:pt:{label(x)}", 1 << dup_index[x]) for x in dup]
     for m in system.family.members:
         mask = m.bits
         for x in dup:
             if m.bits >> x & 1:
                 mask |= 1 << dup_index[x]
         members.append(Member(f"dup:lift:{m.label}", mask))
-    base = system.base_point
-    return PointedSystem(pts, SeparatingFamily(pts, tuple(members)), base)
+    return PointedSystem(SeparatingFamily(pts, tuple(members)), system.base_point)
 
 
 @dataclass(frozen=True)
@@ -246,7 +221,7 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     ]
     labels = []
     for x, f in enumerate(spec.fibers):
-        labels.extend(f"{x}.{f.points.label(i)}" for i in range(f.size))
+        labels.extend(f"{x}.{label}" for label in map(f.points.label, range(f.size)))
     pts = PointSet(total, tuple(labels))
 
     # per fiber x: its members avoiding s(x) (the V0 members) and those
@@ -276,8 +251,7 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
                 for u in around[x]
             )
 
-    family = SeparatingFamily(pts, tuple(members))
-    system = PointedSystem(pts, family)
+    system = PointedSystem(SeparatingFamily(pts, tuple(members)))
 
     # A point i of fiber x lies in the V0 members of fiber x that hold i; in
     # the full union over each W containing x (v_star of them); in the V1

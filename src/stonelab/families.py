@@ -3,7 +3,8 @@
 The point order ord(x, F) counts the members containing x; a family is
 T0-separating when every pair of distinct points is split by some member.
 Over the atoms of a finite Boolean algebra the latter is equivalent to the
-family generating the whole algebra.
+family generating the whole algebra.  A pointed system is a family with an
+optional base point, the form the combinators take and return.
 """
 
 from __future__ import annotations
@@ -76,13 +77,32 @@ class SeparatingFamily:
     def size(self) -> int:
         return len(self.members)
 
-    def member_sets(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
-
     @cached_property
-    def _signatures(self) -> tuple[int, ...]:
+    def signatures(self) -> tuple[int, ...]:
         """Per-point membership pattern, one bit per member; computed once."""
-        return tuple(transpose(self.member_sets(), self.points.size))
+        return tuple(transpose([m.bits for m in self.members], self.points.size))
+
+
+@dataclass(frozen=True)
+class PointedSystem:
+    """A family, which holds its point set, and an optional base point:
+    the new point of a one-point sum, carried through products and
+    duplications."""
+
+    family: SeparatingFamily
+    base_point: Optional[int] = None
+
+    def __post_init__(self):
+        if self.base_point is not None and not 0 <= self.base_point < self.size:
+            raise ValidationError("base point out of range")
+
+    @property
+    def points(self) -> PointSet:
+        return self.family.points
+
+    @property
+    def size(self) -> int:
+        return self.family.points.size
 
 
 @dataclass(frozen=True)
@@ -128,7 +148,12 @@ class SetSpace:
         return tuple(upper_covers(self.sets))
 
     def family(self, prefix: str) -> SeparatingFamily:
-        """The canonical family {a_e}, member e labeled ``prefix`` + e."""
+        """The canonical family {a_e}, member e labeled ``prefix`` + e.
+
+        It is T0-separating: two sets that differ at e are split by a_e.
+        Over FS(P) and Fil(M), p <= q holds exactly when a_p is a subset
+        of a_q.
+        """
         members = tuple(Member(f"{prefix}{e}", mask) for e, mask in enumerate(self.generators))
         return SeparatingFamily(self.points, members)
 
@@ -164,11 +189,6 @@ def family_from_sets(points: PointSet, sets) -> SeparatingFamily:
     return SeparatingFamily(points, tuple(members))
 
 
-def point_signatures(family: SeparatingFamily) -> tuple[int, ...]:
-    """Per-point membership pattern, one bit per member."""
-    return family._signatures
-
-
 def is_t0_separating(family: SeparatingFamily) -> T0Result:
     """Exact pairwise separation check via per-point membership patterns.
 
@@ -176,12 +196,12 @@ def is_t0_separating(family: SeparatingFamily) -> T0Result:
     Deterministic: the witness is the least unseparated pair x < y, as
     ``bits.unseparated_pair`` picks it.
     """
-    pair = unseparated_pair(point_signatures(family))
+    pair = unseparated_pair(family.signatures)
     return T0Result(pair is None, pair)
 
 
 def order_profile(family: SeparatingFamily) -> OrderProfile:
-    per_point = tuple(sig.bit_count() for sig in point_signatures(family))
+    per_point = tuple(sig.bit_count() for sig in family.signatures)
     max_order = max(per_point)
     argmax = tuple(p for p, o in enumerate(per_point) if o == max_order)
     return OrderProfile(per_point, max_order, argmax)

@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 from .algebra import Element, FiniteBooleanAlgebra
 from .bits import extend_cells, is_free, points, transpose
-from .combinators import PointedSystem
 from .errors import FREE_POOL_ATOMS, SIGMA_NODES, AlgebraMismatchError
+from .families import PointedSystem
 from .trees import FiniteForest, sigma_system
 
 

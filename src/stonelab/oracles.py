@@ -146,7 +146,7 @@ def prime_filters_by_enumeration(lattice):
     primality literally (x | y in F implies x in F or y in F), and reads off
     each filter's minimum, which must be some [p, ->).  Ordered by that p.
     """
-    segs = lattice.segments
+    segs = lattice.sets
     m = len(segs)
     if m > 16:
         raise ValidationError("prime-filter oracle capped at 16 lattice elements")
@@ -294,18 +294,30 @@ def rooted_tree_shapes(n: int):
     return [to_parents(s) for s in sorted(tree_shapes(n))]
 
 
+def ultrafilter_closure(atom_count: int, atoms: int) -> int:
+    """The closure of a set A of ultrafilters of the ``atom_count``-atom
+    algebra, each named by its atom and A given as a mask of atoms, from
+    the membership formula: p is in cl(A) iff every element holding p
+    meets A.  Evaluated literally over all 2^n elements, not through the
+    space being discrete, so ``closure(A) == A`` is a genuine check."""
+    out = 0
+    for p in range(atom_count):
+        pbit = 1 << p
+        if all(mask & atoms for mask in range(1 << atom_count) if mask & pbit):
+            out |= pbit
+    return out
+
+
 def point_sequence_is_free_by_closure(algebra, atoms) -> bool:
     """Check a point sequence's freeness literally via the closure formula:
     every front/back split must have disjoint closures."""
-    from .algebra import closure_of_ultrafilter_set
+    atoms = list(atoms)
 
-    ultra = [algebra.ultrafilter(a) for a in atoms]
-    for beta in range(len(ultra) + 1):
-        front = closure_of_ultrafilter_set(algebra, ultra[:beta])
-        back = closure_of_ultrafilter_set(algebra, ultra[beta:])
-        if front & back:
-            return False
-    return True
+    def closure(part):
+        return ultrafilter_closure(algebra.atom_count, sum({1 << a for a in part}))
+
+    return not any(closure(atoms[:beta]) & closure(atoms[beta:])
+                   for beta in range(len(atoms) + 1))
 
 
 def clopen_table_by_assignments(generator_count: int, sigma, tau) -> int:

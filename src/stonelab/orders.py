@@ -16,7 +16,6 @@ from .bits import points, supersets, transpose
 from .errors import (POSET_POINTS, SEMILATTICE_POINTS, UPSETS, CapExceededError,
                      OracleMismatchError, ValidationError)
 from .families import Member, SeparatingFamily, SetSpace
-from .combinators import PointedSystem
 
 
 class FinitePoset:
@@ -129,8 +128,6 @@ class FinalSegmentLattice(SetSpace):
 
     poset: FinitePoset
 
-    segments = property(lambda self: self.sets)
-
     @cached_property
     def covers(self) -> tuple[int, ...]:
         """Per segment U, the mask of the segments covering it, read off P:
@@ -161,15 +158,6 @@ def final_segments(poset: FinitePoset, cap: int = POSET_POINTS.default,
     return FinalSegmentLattice(poset.size, tuple(masks), poset)
 
 
-def poset_system(lattice: FinalSegmentLattice) -> PointedSystem:
-    """Points FS(P) with the canonical family {a_p : p in P}.
-
-    The family is T0-separating (segments differing at p are split by a_p),
-    and p <= q in P holds exactly when a_p is a subset of a_q.
-    """
-    return PointedSystem(lattice.points, lattice.family("a_"))
-
-
 def generator_orientation(lattice: FinalSegmentLattice) -> str:
     """Which global orientation relates p <= q to the inclusion of a_p, a_q.
 
@@ -192,7 +180,7 @@ def generator_orientation(lattice: FinalSegmentLattice) -> str:
 class PrimeFilterInfo:
     """A prime filter of the segment lattice with its minimum and base element."""
 
-    filter_mask: int  # bit a set when lattice.segments[a] is in the filter
+    filter_mask: int  # bit a set when lattice.sets[a] is in the filter
     minimum_index: int
     poset_element: int
 
@@ -212,7 +200,7 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
     with P.
     """
     holders = lattice.generators  # holders[e]: segments holding e
-    index = {mask: a for a, mask in enumerate(lattice.segments)}
+    index = {mask: a for a, mask in enumerate(lattice.sets)}
     primes = []
     for p, seg in enumerate(lattice.poset.up):
         elements = points(seg)
@@ -301,10 +289,6 @@ class MeetSemilattice:
         self.up = tuple(up)
 
     @classmethod
-    def chain(cls, n: int) -> "MeetSemilattice":
-        return cls([[min(i, j) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def antichain_with_bottom(cls, k: int) -> "MeetSemilattice":
         """k pairwise-incomparable elements over a common bottom 0."""
         n = k + 1
@@ -319,11 +303,6 @@ class FilterLattice(SetSpace):
 
     semilattice: MeetSemilattice
 
-    filters = property(lambda self: self.sets)
-
-    def minimum_index(self) -> int:
-        return self.sets.index(0)
-
 
 def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> FilterLattice:
     """Fil(M): the empty set plus every meet-closed up-set.
@@ -336,11 +315,6 @@ def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> Filte
     out = [0, *sl.up]
     out.sort(key=lambda m: (m.bit_count(), m))
     return FilterLattice(sl.size, tuple(out), sl)
-
-
-def semilattice_system(lattice: FilterLattice) -> PointedSystem:
-    """Points Fil(M) with the canonical family {a_p : p in M}; T0-separating."""
-    return PointedSystem(lattice.points, lattice.family("a_"))
 
 
 @dataclass(frozen=True)
@@ -361,9 +335,8 @@ class ModestReport:
 def compact_elements_clopen(lattice: FilterLattice) -> tuple[int, ...]:
     """Compact elements via the clopen characterization: in a finite
     (discrete) lattice every up-set is clopen, so all non-minimum elements
-    qualify."""
-    m = lattice.minimum_index()
-    return tuple(i for i in range(lattice.size) if i != m)
+    qualify.  The minimum, the empty filter, sorts first."""
+    return tuple(range(1, lattice.size))
 
 
 def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:

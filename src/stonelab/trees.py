@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, FiniteBooleanAlgebra, SubalgebraPartition, generated_subalgebra
-from .combinators import PointedSystem
 from .errors import ATOMS, ValidationError
-from .families import SetSpace
+from .families import PointedSystem, SetSpace
 
 
 class FiniteForest:
@@ -24,13 +23,10 @@ class FiniteForest:
 
     def __init__(self, parents):
         parent = []
-        for p in parents:
-            if p is None or p == -1:
-                parent.append(None)
-            elif isinstance(p, int) and not isinstance(p, bool):
-                parent.append(p)
-            else:
+        for p in parents:  # a root is None or the int -1, never -1.0
+            if p is not None and (not isinstance(p, int) or isinstance(p, bool)):
                 raise ValidationError(f"bad parent entry {p!r}")
+            parent.append(None if p is None or p == -1 else p)
         n = len(parent)
         for i, p in enumerate(parent):
             if p is not None and not 0 <= p < n:
@@ -79,8 +75,6 @@ class PathSpace(SetSpace):
 
     forest: FiniteForest
 
-    paths = property(lambda self: self.sets)
-
 
 def paths(forest: FiniteForest) -> PathSpace:
     """Enumerate the path space: the empty path, then the ancestor-closure
@@ -96,8 +90,7 @@ def sigma_system(forest: FiniteForest) -> PointedSystem:
 
     ord(A) = |A| for every path A, so the maximal order is the height.
     """
-    space = paths(forest)
-    return PointedSystem(space.points, space.family("V+"))
+    return PointedSystem(paths(forest).family("V+"))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from stonelab import (
     FiniteForest,
     PorcupineSpec,
     alexandrov_duplication,
-    closure_of_ultrafilter_set,
     dense_small_support_check,
     discrete_witness,
     final_segments,
@@ -29,7 +28,6 @@ from stonelab import (
     longest_free_sequence,
     min_max_order,
     porcupine,
-    poset_system,
     preset_pool,
     prime_clopen_filters,
     product_system,
@@ -46,6 +44,7 @@ from stonelab.oracles import (
     point_sequence_is_free_by_closure,
     posets_up_to_iso,
     rooted_tree_shapes,
+    ultrafilter_closure,
 )
 from test_solver import random_pool
 
@@ -104,11 +103,8 @@ def test_generation_equals_separation():
 def test_closure_formula_identity():
     checked = 0
     for n in range(1, 6):
-        B = FiniteBooleanAlgebra(n)
-        ultra = B.ultrafilters()
         for amask in range(1 << n):
-            A = [ultra[i] for i in range(n) if amask >> i & 1]
-            assert closure_of_ultrafilter_set(B, A) == frozenset(A)
+            assert ultrafilter_closure(n, amask) == amask
             checked += 1
     ok(f"closure formula: closure(A) == A for all {checked} subsets over n<=5")
 
@@ -120,8 +116,7 @@ def test_poset_duality():
         for up in posets_up_to_iso(n):
             P = FinitePoset(up)
             lattice = final_segments(P)
-            system = poset_system(lattice)
-            assert is_t0_separating(system.family).separating
+            assert is_t0_separating(lattice.family("a_")).separating
             primes = prime_clopen_filters(lattice)  # raises on bijection failure
             assert len(primes) == n
             assert sorted(pf.poset_element for pf in primes) == list(range(n))
@@ -147,7 +142,7 @@ def test_discrete_generator_witnesses():
                 slab_hits = [
                     q
                     for q in range(n)
-                    if P.up[q] in lattice.segments
+                    if P.up[q] in lattice.sets
                     and P.up[q] >> p & 1
                     and P.up[q] & tau_mask == 0
                 ]

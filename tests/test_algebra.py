@@ -9,12 +9,11 @@ from stonelab import (
     CapExceededError,
     FiniteBooleanAlgebra,
     ValidationError,
-    closure_of_ultrafilter_set,
     generated_subalgebra,
     generates_whole,
 )
 from stonelab.families import PointSet, family_from_sets, is_t0_separating
-from stonelab.oracles import closure_generates
+from stonelab.oracles import closure_generates, ultrafilter_closure
 
 
 def alg(n):
@@ -79,28 +78,22 @@ class TestGeneratesWhole:
 
 
 class TestClosure:
+    """The closure of a set of ultrafilters, named by their atoms, through
+    the oracle that evaluates the membership formula literally."""
+
     def test_two_point_set(self):
-        B = alg(3)
-        A = [B.ultrafilter(0), B.ultrafilter(1)]
-        assert closure_of_ultrafilter_set(B, A) == frozenset(A)
+        assert ultrafilter_closure(3, 0b011) == 0b011
 
     def test_empty_set(self):
-        B = alg(3)
-        assert closure_of_ultrafilter_set(B, []) == frozenset()
+        assert ultrafilter_closure(3, 0) == 0
 
     def test_all_ultrafilters(self):
-        B = alg(4)
-        assert closure_of_ultrafilter_set(B, B.ultrafilters()) == frozenset(
-            B.ultrafilters()
-        )
+        assert ultrafilter_closure(4, 0b1111) == 0b1111
 
     def test_identity_exhaustive_small(self):
         for n in range(1, 5):
-            B = alg(n)
-            ultra = B.ultrafilters()
             for amask in range(1 << n):
-                A = [ultra[i] for i in range(n) if amask >> i & 1]
-                assert closure_of_ultrafilter_set(B, A) == frozenset(A)
+                assert ultrafilter_closure(n, amask) == amask
 
 
 class TestValidation:

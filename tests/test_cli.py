@@ -427,6 +427,15 @@ class TestMalformedInput:
         f.write_text(json.dumps({"kind": "system", "points": 3, "members": [], **fields}))
         self.assert_rejected(capsys, "solve", "--in", str(f))
 
+    @pytest.mark.parametrize("parents, entry", [([-1.0, 0], "-1.0"), ([None, 0.0], "0.0")])
+    def test_float_tree_parent(self, tmp_path, capsys, parents, entry):
+        """Only None or the int -1 marks a root: -1.0 is refused like any
+        other float parent."""
+        f = tmp_path / "tree.json"
+        f.write_text(json.dumps({"kind": "tree", "parents": parents}))
+        assert main(["analyze", "--in", str(f), "--analysis", "sigma"]) == 1
+        assert capsys.readouterr().err == f"error: bad parent entry {entry}\n"
+
     def test_bad_pairs_flag(self, capsys):
         self.assert_rejected(
             capsys, "analyze", "--kind", "poset", "--pairs", "0<x",

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +299,15 @@ class TestPorcupine:
         fiber = system_from_sets(2, [{0}])
         with pytest.warns(LintWarning):
             porcupine(PorcupineSpec(X, (fiber,), (0,)))
+
+
+@pytest.mark.parametrize("module", ["orders", "trees", "freeseq"])
+def test_structures_do_not_import_combinators(module):
+    """The dual point sets and their systems sit below the combinators:
+    ``PointedSystem`` is in ``families``, so these modules import nothing
+    from ``combinators``."""
+    path = Path(__file__).resolve().parents[1] / "src" / "stonelab" / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            assert not any(n.split(".")[-1] == "combinators" for n in names), ast.dump(node)

@@ -11,15 +11,12 @@ from stonelab import (
     FiniteForest,
     FinitePoset,
     LintWarning,
-    MeetSemilattice,
     ValidationError,
     cli,
     filters,
     final_segments,
     paths,
-    poset_system,
     preset_pool,
-    semilattice_system,
     sigma_system,
     solver,
     trees,
@@ -34,9 +31,10 @@ from stonelab.families import (
     family_from_sets,
     is_t0_separating,
     order_profile,
-    point_signatures,
 )
 from stonelab.orders import clopen_filter_family
+
+from helpers import meet_chain
 
 
 def fam(size, sets):
@@ -229,19 +227,19 @@ class TestSetSpace:
     @given(set_spaces())
     def test_family_signatures(self, space):
         family = space.family("a_")
-        signatures = point_signatures(family)
+        signatures = family.signatures
         assert signatures == tuple(
             sum(1 << i for i, m in enumerate(family.members) if m.bits >> p & 1)
             for p in range(space.size)
         )
-        assert point_signatures(family) is signatures  # transposed once
+        assert family.signatures is signatures  # transposed once
 
 
 def small_spaces():
     """FS(P) of a 3-point poset, Fil(M) of a 3-element chain, and the path
     space of a 3-node tree."""
     segments = final_segments(FinitePoset.from_pairs(3, [(0, 1)]))
-    fils = filters(MeetSemilattice.chain(3))
+    fils = filters(meet_chain(3))
     forest = FiniteForest([None, 0, 0])
     return segments, fils, forest
 
@@ -252,10 +250,8 @@ class TestSetSpaceReuse:
 
     def test_lattice_systems_and_pools(self, monkeypatch):
         segments, fils, _ = small_spaces()
-        for system in (poset_system(segments), semilattice_system(fils)):
-            assert system.family.points is system.points
-        assert poset_system(segments).points is segments.points
-        assert semilattice_system(fils).points is fils.points
+        for space in (segments, fils):
+            assert space.family("a_").points is space.points
         monkeypatch.setattr(solver, "final_segments", lambda p: segments)
         monkeypatch.setattr(solver, "semilattice_filters", lambda m: fils)
         assert preset_pool("upsets", segments.poset).points is segments.points

@@ -16,14 +16,14 @@ from stonelab import (
     generated_subalgebra,
     generator_orientation,
     modest_analysis,
-    poset_system,
     prime_clopen_filters,
-    semilattice_system,
 )
 from stonelab.bits import upper_covers
 from stonelab.families import is_t0_separating
 from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
 from stonelab.orders import compact_elements_clopen
+
+from helpers import meet_chain
 
 
 class TestPosetValidation:
@@ -66,7 +66,7 @@ class TestFinalSegments:
 
     def test_chain_three_exact(self):
         L = final_segments(FinitePoset.chain(3))
-        assert L.segments == (0b000, 0b100, 0b110, 0b111)
+        assert L.sets == (0b000, 0b100, 0b110, 0b111)
 
     def test_single_point(self):
         assert final_segments(FinitePoset.antichain(1)).size == 2
@@ -80,7 +80,7 @@ class TestFinalSegments:
             for up in posets_up_to_iso(n):
                 P = FinitePoset(up)
                 L = final_segments(P)
-                assert set(L.segments) == upsets_bruteforce(n, P.up)
+                assert set(L.sets) == upsets_bruteforce(n, P.up)
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(13)
@@ -94,13 +94,13 @@ class TestFinalSegments:
             except ValidationError:
                 continue  # random pairs may create cycles
             L = final_segments(P)
-            assert set(L.segments) == upsets_bruteforce(n, P.up)
+            assert set(L.sets) == upsets_bruteforce(n, P.up)
 
     def test_closed_under_union_intersection(self):
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
                 L = final_segments(FinitePoset(up))
-                segs = set(L.segments)
+                segs = set(L.sets)
                 for a in segs:
                     for b in segs:
                         assert a | b in segs and a & b in segs
@@ -112,24 +112,24 @@ class TestFinalSegments:
 
 class TestPosetSystem:
     def test_chain_two(self):
-        sys_ = poset_system(final_segments(FinitePoset.chain(2)))
-        assert sys_.points.size == 3
-        sets = [m.bits for m in sys_.family.members]
+        family = final_segments(FinitePoset.chain(2)).family("a_")
+        assert family.points.size == 3
+        sets = [m.bits for m in family.members]
         assert len(sets) == 2
         assert sets[0] & sets[1] in sets  # nested
-        assert is_t0_separating(sys_.family).separating
+        assert is_t0_separating(family).separating
 
     def test_antichain_two(self):
-        sys_ = poset_system(final_segments(FinitePoset.antichain(2)))
-        assert sys_.points.size == 4
-        assert sys_.family.size == 2
-        assert is_t0_separating(sys_.family).separating
+        family = final_segments(FinitePoset.antichain(2)).family("a_")
+        assert family.points.size == 4
+        assert family.size == 2
+        assert is_t0_separating(family).separating
 
     def test_single_point(self):
-        sys_ = poset_system(final_segments(FinitePoset.antichain(1)))
-        assert sys_.points.size == 2
-        assert sys_.family.size == 1
-        assert is_t0_separating(sys_.family).separating
+        family = final_segments(FinitePoset.antichain(1)).family("a_")
+        assert family.points.size == 2
+        assert family.size == 1
+        assert is_t0_separating(family).separating
 
     def test_duality_round_trip(self):
         # the generated subalgebra over the FS points is the full powerset
@@ -166,7 +166,7 @@ class TestPrimeFilters:
                 P = FinitePoset(up)
                 L = final_segments(P)
                 for pf in prime_clopen_filters(L):
-                    assert L.segments[pf.minimum_index] == P.up[pf.poset_element]
+                    assert L.sets[pf.minimum_index] == P.up[pf.poset_element]
 
     def test_equals_enumeration_oracle(self):
         """Principal filters at join-prime elements = every prime filter
@@ -187,7 +187,7 @@ class TestPrimeFilters:
             pairs = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.3]
             L = final_segments(FinitePoset.from_pairs(n, pairs))
-            segs = L.segments
+            segs = L.sets
             index = {seg: i for i, seg in enumerate(segs)}
             expected = []
             for a in range(1, L.size):  # segs[0] is the bottom; its up-set is improper
@@ -222,7 +222,7 @@ class TestDiscreteWitness:
                     tau_mask = sum(1 << t for t in tau)
                     slab = [
                         seg
-                        for seg in L.segments
+                        for seg in L.sets
                         if seg >> p & 1 and seg & tau_mask == 0
                     ]
                     hits = [q for q in range(n) if P.up[q] in slab]
@@ -284,7 +284,7 @@ class TestPosetKernels:
         """FS(P)'s covers read off P equal ``bits.upper_covers`` on its sets."""
         for P, _ in small_and_random_posets():
             L = final_segments(P)
-            assert L.covers == tuple(upper_covers(L.segments))
+            assert L.covers == tuple(upper_covers(L.sets))
 
     def test_orientation_against_pairwise_definition(self):
         for P, _ in small_and_random_posets():
@@ -313,15 +313,15 @@ class TestMeetSemilattice:
             MeetSemilattice([[0, 1], [0, 1]])  # not commutative
 
     def test_chain_filters(self):
-        L = filters(MeetSemilattice.chain(3))
+        L = filters(meet_chain(3))
         assert L.size == 4
-        assert L.filters == (0b000, 0b100, 0b110, 0b111)
+        assert L.sets == (0b000, 0b100, 0b110, 0b111)
 
     def test_two_element_with_bottom(self):
-        assert filters(MeetSemilattice.chain(2)).size == 3
+        assert filters(meet_chain(2)).size == 3
 
     def test_single_element(self):
-        assert filters(MeetSemilattice.chain(1)).size == 2
+        assert filters(meet_chain(1)).size == 2
 
     def test_antichain_with_bottom(self):
         M = MeetSemilattice.antichain_with_bottom(2)
@@ -332,10 +332,10 @@ class TestMeetSemilattice:
     def test_filters_are_principal_plus_empty(self):
         rng = random.Random(29)
         for n in range(1, 6):
-            M = MeetSemilattice.chain(n)
+            M = meet_chain(n)
             L = filters(M)
             expected = {0} | {M.up[i] for i in range(n)}
-            assert set(L.filters) == expected
+            assert set(L.sets) == expected
 
     def test_filters_equal_meet_closed_upsets(self):
         """Random intersection-closed families of <= 6 sets, each read as a
@@ -358,7 +358,7 @@ class TestMeetSemilattice:
                 if all(u >> M.table[i][j] & 1
                        for i in range(n) for j in range(n) if u >> i & 1 and u >> j & 1)
             }
-            assert set(filters(M).filters) == {0} | meet_closed
+            assert set(filters(M).sets) == {0} | meet_closed
             checked += 1
 
     def test_not_associative(self):
@@ -390,14 +390,13 @@ class TestMeetSemilattice:
         assert 0 < associative < tables
 
     def test_system_t0(self):
-        for M in (MeetSemilattice.chain(4), MeetSemilattice.antichain_with_bottom(3)):
-            sys_ = semilattice_system(filters(M))
-            assert is_t0_separating(sys_.family).separating
+        for M in (meet_chain(4), MeetSemilattice.antichain_with_bottom(3)):
+            assert is_t0_separating(filters(M).family("a_")).separating
 
 
 class TestModest:
     def test_filters_of_three_chain(self):
-        L = filters(MeetSemilattice.chain(3))  # a 4-chain
+        L = filters(meet_chain(3))  # a 4-chain
         rep = modest_analysis(L)
         assert len(rep.compact_elements) == 3
         assert rep.witness_point == L.size - 1  # top
@@ -407,7 +406,7 @@ class TestModest:
         assert rep.sup_definition_agrees
 
     def test_two_chain(self):
-        L = filters(MeetSemilattice.chain(1))  # {empty, {0}}
+        L = filters(meet_chain(1))  # {empty, {0}}
         rep = modest_analysis(L)
         assert len(rep.compact_elements) == 1
         assert rep.witness_compact_below == 1
@@ -423,21 +422,21 @@ class TestModest:
         assert rep.witness_compact_below == sum(
             1
             for a in rep.compact_elements
-            if L.filters[a] & ~L.filters[rep.witness_point] == 0
+            if L.sets[a] & ~L.sets[rep.witness_point] == 0
         )
 
     def test_clopen_family_is_separating(self):
-        for M in (MeetSemilattice.chain(3), MeetSemilattice.antichain_with_bottom(3)):
+        for M in (meet_chain(3), MeetSemilattice.antichain_with_bottom(3)):
             rep = modest_analysis(filters(M))
             assert is_t0_separating(rep.clopen_filter_family).separating
 
     def test_compact_cross_check(self):
-        for M in (MeetSemilattice.chain(4), MeetSemilattice.antichain_with_bottom(2)):
+        for M in (meet_chain(4), MeetSemilattice.antichain_with_bottom(2)):
             L = filters(M)
-            nonempty = tuple(i for i, f in enumerate(L.filters) if f)
+            nonempty = tuple(i for i, f in enumerate(L.sets) if f)
             assert compact_elements_clopen(L) == nonempty
 
     def test_immediate_predecessors_of_chain(self):
-        L = filters(MeetSemilattice.chain(4))
+        L = filters(meet_chain(4))
         rep = modest_analysis(L)
         assert rep.immediate_predecessor_counts == (1, 1, 1, 1)

@@ -8,7 +8,6 @@ from stonelab import (
     FiniteForest,
     FinitePoset,
     GeneratorPool,
-    MeetSemilattice,
     PoolInsufficientError,
     ValidationError,
     decision_max_order_at_most,
@@ -19,6 +18,8 @@ from stonelab.bits import iter_bits
 from stonelab.families import Member, PointSet, is_t0_separating, order_profile
 from stonelab.oracles import backtracking_min_max_order, exhaustive_min_max_order
 from stonelab.solver import _Kernel
+
+from helpers import meet_chain
 
 
 def pool_from_masks(npts, masks, tag="custom"):
@@ -182,7 +183,7 @@ class TestPresets:
         assert pool.size == 3
 
     def test_filters_preset(self):
-        pool = preset_pool("filters", MeetSemilattice.chain(3))
+        pool = preset_pool("filters", meet_chain(3))
         assert pool.points.size == 4
         assert pool.size == 4  # empty member plus the three compact up-sets
         assert min_max_order(pool).value == 3

@@ -92,7 +92,7 @@ class TestPaths:
 
     def test_empty_tree(self):
         space = paths(FiniteForest([]))
-        assert space.size == 1 and space.paths == (0,)
+        assert space.size == 1 and space.sets == (0,)
 
     def test_count_is_nodes_plus_one(self):
         for parents in rooted_tree_shapes(5):
@@ -109,7 +109,7 @@ class TestPaths:
         ]
         for parents in cases:
             f = FiniteForest(parents)
-            assert set(paths(f).paths) == paths_bruteforce(f)
+            assert set(paths(f).sets) == paths_bruteforce(f)
 
 
 class TestSigmaSystem:
@@ -132,7 +132,7 @@ class TestSigmaSystem:
             f = FiniteForest(parents)
             space = paths(f)
             prof = order_profile(sigma_system(f).family)
-            for idx, mask in enumerate(space.paths):
+            for idx, mask in enumerate(space.sets):
                 assert prof.per_point[idx] == bin(mask).count("1")
 
     def test_t0_separating(self):
