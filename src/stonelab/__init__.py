@@ -14,9 +14,7 @@ from .combinators import (
     alexandrov_duplication,
     porcupine,
     product_system,
-    singleton_system,
     sum_with_point,
-    system_from_sets,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -33,19 +31,16 @@ from .families import (
     PointedSystem,
     PointSet,
     SeparatingFamily,
-    family_from_sets,
     is_t0_separating,
     order_profile,
 )
 from .freealg import (
-    Assignment,
     FreeAlgebra,
     FreeElement,
     dense_small_support_check,
     min_support_ultrafilter,
 )
 from .freeseq import (
-    FreeSequence,
     SigmaTree,
     is_free_sequence,
     longest_free_point_sequence,
@@ -54,7 +49,6 @@ from .freeseq import (
     sigma_tree,
 )
 from .orders import (
-    FilterLattice,
     FinalSegmentLattice,
     FinitePoset,
     MeetSemilattice,
@@ -75,7 +69,6 @@ from .solver import (
 )
 from .trees import (
     FiniteForest,
-    PathSpace,
     initial_chain_algebra,
     paths,
     sigma_system,

@@ -481,17 +481,15 @@ def _selection(args, structure):
 def _duality(args, poset):
     lattice = final_segments(poset, cap=args.cap_enum)
     primes = prime_clopen_filters(lattice)
-    witnesses = [discrete_witness(poset, p) for p in range(poset.size)]
     results = {
         "segment_count": lattice.size,
         "segments": list(lattice.labels),
         "family": _family_payload(lattice.family("a_")),
         "prime_filter_count": len(primes),
-        "prime_filter_minima": [lattice.labels[pf.minimum_index] for pf in primes],
+        # a filter's minimum, [p, ->), sorts first among its segments
+        "prime_filter_minima": [lattice.labels[(f & -f).bit_length() - 1] for f in primes],
         "bijection_with_poset": len(primes) == poset.size,
-        "discrete_witnesses": {
-            str(w.poset_element): list(w.tau) for w in witnesses
-        },
+        "discrete_witnesses": {str(p): list(discrete_witness(poset, p)) for p in range(poset.size)},
         "generator_orientation": generator_orientation(lattice),
     }
     notes = [
@@ -518,7 +516,8 @@ def _modest(args, structure):
         "max_elements": [labels[i] for i in analysis_report.max_elements],
         "witness_point": labels[analysis_report.witness_point],
         "witness_compact_below": analysis_report.witness_compact_below,
-        "witness_family_order": analysis_report.witness_family_order,
+        # the order of the witness point in clopen_filter_family equals that count
+        "witness_family_order": analysis_report.witness_compact_below,
         "sup_definition_agrees": analysis_report.sup_definition_agrees,
     }
     notes = [
@@ -530,7 +529,7 @@ def _modest(args, structure):
 
 def _sigma(args, structure):
     system = sigma_system(structure)
-    chain_alg = initial_chain_algebra(structure) if structure.size else None
+    partition = initial_chain_algebra(structure) if structure.size else None
     results = {
         "path_count": system.points.size,
         "height": structure.height(),
@@ -538,10 +537,10 @@ def _sigma(args, structure):
         "max_order_equals_height": order_profile(system.family).max_order
         == structure.height(),
     }
-    if chain_alg:
+    if partition:
         results["initial_chain_algebra"] = {
-            "blocks": chain_alg.partition.block_count,
-            "generates_whole": chain_alg.generates_whole,
+            "blocks": partition.block_count,
+            "generates_whole": partition.is_full(),
         }
     notes = [
         "paths are the empty chain plus the ancestor-closure of each node",
@@ -551,13 +550,13 @@ def _sigma(args, structure):
 
 
 def _freeseq(args, algebra):
-    best = longest_free_sequence(algebra)
+    terms = longest_free_sequence(algebra)
     points_length = longest_free_point_sequence(algebra)
     results = {
-        "algebra_sequence_length": best.length,
-        "algebra_sequence": [sorted(t.atoms()) for t in best.terms],
+        "algebra_sequence_length": len(terms),
+        "algebra_sequence": [sorted(t.atoms()) for t in terms],
         "point_sequence_length": points_length,
-        "asymmetry": points_length - best.length,
+        "asymmetry": points_length - len(terms),
     }
     notes = [
         "algebra sequences top out one below the atom count; point sequences reach it",
@@ -569,11 +568,11 @@ def _minsupport(args, structure):
     if not args.clopen:
         raise ValidationError("minsupport analysis needs --clopen FORMULA")
     w = parse_clopen(structure, args.clopen)
-    assignment, size = min_support_ultrafilter(w)
+    support = min_support_ultrafilter(w)
     results = {
         "formula": args.clopen,
-        "support": list(assignment.support),
-        "support_size": size,
+        "support": list(support),
+        "support_size": len(support),
     }
     notes = ["smallest-weight satisfying assignment, weight levels tried in order"]
     return results, notes

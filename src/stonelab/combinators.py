@@ -12,20 +12,7 @@ from dataclasses import dataclass
 
 from .bits import points, transpose
 from .errors import PRODUCT_POINTS, LintWarning, ValidationError
-from .families import (Member, PointedSystem, PointSet, SeparatingFamily, family_from_sets,
-                       is_t0_separating)
-
-
-def system_from_sets(size: int, sets) -> PointedSystem:
-    """The system over ``size`` unlabeled points whose family is
-    ``families.family_from_sets`` of ``sets``."""
-    return PointedSystem(family_from_sets(PointSet(size), sets))
-
-
-def singleton_system(size: int) -> PointedSystem:
-    """The discrete system whose family is all singletons."""
-    members = tuple(Member(f"pt{i}", 1 << i) for i in range(size))
-    return PointedSystem(SeparatingFamily(PointSet(size), members))
+from .families import Member, PointedSystem, PointSet, SeparatingFamily, is_t0_separating
 
 
 def _warn_if_not_t0(system: PointedSystem, role: str):

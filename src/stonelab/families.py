@@ -174,21 +174,6 @@ class T0Result(NamedTuple):
 NOT_GENERATING = "generator set does not generate the whole algebra; selection value computed anyway"
 
 
-def family_from_sets(points: PointSet, sets) -> SeparatingFamily:
-    """Build a family from raw masks or iterables of points, member i
-    labeled ``U`` + i."""
-    members = []
-    for i, s in enumerate(sets):
-        if isinstance(s, int):
-            mask = s
-        else:
-            mask = 0
-            for p in s:
-                mask |= 1 << p
-        members.append(Member(f"U{i}", mask))
-    return SeparatingFamily(points, tuple(members))
-
-
 def is_t0_separating(family: SeparatingFamily) -> T0Result:
     """Exact pairwise separation check via per-point membership patterns.
 

@@ -15,6 +15,9 @@ D_k & b are nonzero, and those are the new cells (``bits.extend_cells``).
 So the searches extend cells down the tree instead of checking each
 sequence from scratch, and find all the terms that extend a node at once:
 term i extends it when it meets D_k and contains no D_beta.
+
+``longest_free_sequence`` returns the terms of a longest free sequence,
+and ``sigma_tree`` the tree of all of them.
 """
 
 from __future__ import annotations
@@ -28,16 +31,6 @@ from .bits import extend_cells, is_free, points, transpose
 from .errors import FREE_POOL_ATOMS, SIGMA_NODES, AlgebraMismatchError
 from .families import PointedSystem
 from .trees import FiniteForest, sigma_system
-
-
-@dataclass(frozen=True)
-class FreeSequence:
-    algebra: FiniteBooleanAlgebra
-    terms: tuple[Element, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.terms)
 
 
 def _check_terms(algebra: FiniteBooleanAlgebra, terms):
@@ -119,8 +112,9 @@ def _free_sequences(terms, full: int, limit: int):
 
 
 def longest_free_sequence(algebra: FiniteBooleanAlgebra,
-                          pool: Optional[Sequence[Element]] = None) -> FreeSequence:
-    """Maximum-length free sequence over the pool, by exhaustive DFS.
+                          pool: Optional[Sequence[Element]] = None) -> tuple[Element, ...]:
+    """The terms of a maximum-length free sequence over the pool, by
+    exhaustive DFS.
 
     The default pool is every nonconstant element, under the free pool's
     atom cap.  Candidates are tried in popcount-descending order (earlier
@@ -145,7 +139,7 @@ def longest_free_sequence(algebra: FiniteBooleanAlgebra,
             best = node
         if len(best) >= bound:
             break
-    return FreeSequence(algebra, tuple(Element(algebra, candidates[i]) for i in best))
+    return tuple(Element(algebra, candidates[i]) for i in best)
 
 
 def longest_free_point_sequence(algebra: FiniteBooleanAlgebra) -> int:

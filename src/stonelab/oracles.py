@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import NAIVE_LENGTH, OracleMismatchError, ValidationError
-from .orders import PrimeFilterInfo
 
 
 def closure_generates(atom_count: int, masks) -> bool:
@@ -144,7 +143,8 @@ def prime_filters_by_enumeration(lattice):
 
     Keeps the nonempty proper up-sets closed under intersection, tests
     primality literally (x | y in F implies x in F or y in F), and reads off
-    each filter's minimum, which must be some [p, ->).  Ordered by that p.
+    each filter's minimum, which must be some [p, ->).  Returns the filter
+    masks ordered by that p.
     """
     segs = lattice.sets
     m = len(segs)
@@ -172,8 +172,8 @@ def prime_filters_by_enumeration(lattice):
         base = [p for p in range(lattice.poset.size) if lattice.poset.up[p] == minimum]
         if not base:
             raise OracleMismatchError(f"prime filter minimum {minimum:b} is not some [p,->)")
-        primes.append(PrimeFilterInfo(fmask, index[minimum], base[0]))
-    return tuple(sorted(primes, key=lambda pf: pf.poset_element))
+        primes.append((base[0], fmask))
+    return tuple(fmask for _, fmask in sorted(primes))
 
 
 def paths_bruteforce(forest) -> set[int]:

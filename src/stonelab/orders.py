@@ -2,9 +2,12 @@
 
 The final segments FS(P) of a poset and the filters Fil(M) of a
 meet-semilattice serve as Stone-dual point sets; the canonical generating
-families are the sets a_p = {u : p in u}.  Includes the prime-filter
-characterization, discrete-generator witnesses, and the analysis of
-compact elements and immediate predecessors in filter lattices.
+families are the sets a_p = {u : p in u}.  ``filters`` returns Fil(M) as a
+plain ``SetSpace``, while FS(P) keeps P to read its Hasse covers off.
+``prime_clopen_filters`` returns the prime filters of FS(P) as masks in
+P's order, each filter's minimum its lowest set bit; ``discrete_witness``
+returns the set tau_p; ``modest_analysis`` reports the compact elements
+and immediate predecessors of a filter lattice.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class FinitePoset:
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
         return cls(tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
-
-    @classmethod
-    def antichain(cls, n: int) -> "FinitePoset":
-        return cls(tuple(1 << i for i in range(n)))
 
     def strict_down(self, p: int) -> int:
         return self.down[p] & ~(1 << p)
@@ -176,18 +175,11 @@ def generator_orientation(lattice: FinalSegmentLattice) -> str:
     raise OracleMismatchError("generator map has no global orientation")
 
 
-@dataclass(frozen=True)
-class PrimeFilterInfo:
-    """A prime filter of the segment lattice with its minimum and base element."""
-
-    filter_mask: int  # bit a set when lattice.sets[a] is in the filter
-    minimum_index: int
-    poset_element: int
-
-
-def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo, ...]:
-    """All prime filters of the lattice FS(P), one per point p of P: the
-    principal filter at the segment [p, ->).
+def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[int, ...]:
+    """All prime filters of the lattice FS(P), one per point p of P in P's
+    order: the principal filter at the segment [p, ->), as the mask of the
+    segments in it.  Its lowest set bit is [p, ->) itself, which sorts
+    first among its supersets.
 
     In a finite lattice every filter F is principal, F = up(meet F), and
     up(a) is prime exactly when a is join-prime: a is not below the join
@@ -200,34 +192,24 @@ def prime_clopen_filters(lattice: FinalSegmentLattice) -> tuple[PrimeFilterInfo,
     with P.
     """
     holders = lattice.generators  # holders[e]: segments holding e
-    index = {mask: a for a, mask in enumerate(lattice.sets)}
     primes = []
-    for p, seg in enumerate(lattice.poset.up):
+    for seg in lattice.poset.up:
         elements = points(seg)
         fmask = -1  # the segments containing seg: those holding each e in it
         for e in elements:
             fmask &= holders[e]
         if not any(holders[e] & ~fmask == 0 for e in elements):
             raise OracleMismatchError("prime filters do not biject with the poset")
-        primes.append(PrimeFilterInfo(fmask, index[seg], p))
+        primes.append(fmask)
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class DiscreteWitness:
-    """tau_p, a finite set isolating the generator a_p among all a_q.
+def discrete_witness(poset: FinitePoset, p: int) -> tuple[int, ...]:
+    """tau_p, a finite set isolating the generator a_p among all a_q: the
+    witness that the canonical generators form a discrete set.
 
     a_q corresponds to the point [q, ->) of FS(P); the slab
     {u : p in u and u does not meet tau_p} contains [q, ->) only for q = p.
-    """
-
-    poset_element: int
-    tau: tuple[int, ...]
-
-
-def discrete_witness(poset: FinitePoset, p: int) -> DiscreteWitness:
-    """Witness that the canonical generators form a discrete set.
-
     tau_p is the set of immediate predecessors of p.  Uniqueness is
     verified on the rows: the q <= p below no element of tau_p must be p
     alone.
@@ -243,7 +225,7 @@ def discrete_witness(poset: FinitePoset, p: int) -> DiscreteWitness:
         raise OracleMismatchError(
             f"tau_{p} does not isolate a_{p}: hits {list(points(hits))}"
         )
-    return DiscreteWitness(p, tau)
+    return tau
 
 
 class MeetSemilattice:
@@ -288,24 +270,10 @@ class MeetSemilattice:
         self.table = tuple(rows)
         self.up = tuple(up)
 
-    @classmethod
-    def antichain_with_bottom(cls, k: int) -> "MeetSemilattice":
-        """k pairwise-incomparable elements over a common bottom 0."""
-        n = k + 1
-        return cls(
-            [[i if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
-
-@dataclass(frozen=True)
-class FilterLattice(SetSpace):
-    """All filters of a meet-semilattice, including the empty one (mask 0)."""
-
-    semilattice: MeetSemilattice
-
-
-def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> FilterLattice:
-    """Fil(M): the empty set plus every meet-closed up-set.
+def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> SetSpace:
+    """Fil(M): the empty set plus every meet-closed up-set, over the n
+    elements of M.
 
     A nonempty filter F of a finite meet-semilattice holds the meet a of
     its elements, so F = up(a); each up(a) is a filter.  Fil(M) is thus the
@@ -314,7 +282,7 @@ def filters(sl: MeetSemilattice, cap: int = SEMILATTICE_POINTS.default) -> Filte
     SEMILATTICE_POINTS.check(sl.size, cap)
     out = [0, *sl.up]
     out.sort(key=lambda m: (m.bit_count(), m))
-    return FilterLattice(sl.size, tuple(out), sl)
+    return SetSpace(sl.size, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -327,19 +295,17 @@ class ModestReport:
     max_elements: tuple[int, ...]
     witness_point: int
     witness_compact_below: int
-    witness_family_order: int
-    clopen_filter_family: SeparatingFamily
     sup_definition_agrees: bool
 
 
-def compact_elements_clopen(lattice: FilterLattice) -> tuple[int, ...]:
+def compact_elements_clopen(lattice: SetSpace) -> tuple[int, ...]:
     """Compact elements via the clopen characterization: in a finite
     (discrete) lattice every up-set is clopen, so all non-minimum elements
     qualify.  The minimum, the empty filter, sorts first."""
     return tuple(range(1, lattice.size))
 
 
-def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:
+def clopen_filter_family(lattice: SetSpace) -> SeparatingFamily:
     """The family G over Fil(M): the empty filter of the lattice plus the
     principal up-set of each compact element (the improper filter, the
     whole lattice, is excluded)."""
@@ -349,13 +315,14 @@ def clopen_filter_family(lattice: FilterLattice) -> SeparatingFamily:
     return SeparatingFamily(lattice.points, tuple(members))
 
 
-def modest_analysis(lattice: FilterLattice) -> ModestReport:
+def modest_analysis(lattice: SetSpace) -> ModestReport:
     """Compact elements, immediate-predecessor counts, maximal elements, and
     the witness data for the closed-discrete generator family.
 
-    The family G is ``clopen_filter_family``.  The witness point is a
-    maximal element p maximizing the number of compact elements below it;
-    the order of p in G equals that count.
+    The witness point is a maximal element p maximizing the number of
+    compact elements below it.  That count is also the order of p in the
+    family G, ``clopen_filter_family``: G's members holding p are the
+    up-sets of the compact elements below p.
     """
     compact = compact_elements_clopen(lattice)
     covers = lattice.covers
@@ -363,14 +330,11 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
     pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
     is_modest = True  # every immediate-predecessor set is finite here; counts reported
     maxima = tuple(i for i in range(lattice.size) if not covers[i])
-    family = clopen_filter_family(lattice)
 
     up = lattice.up  # a is below p exactly when up[a] holds p
     below = [sum(up[a] >> p & 1 for a in compact) for p in maxima]
     best_count = max(below)
     best_point = maxima[below.index(best_count)]
-    pbit = 1 << best_point
-    family_order = sum(1 for m in family.members if m.bits & pbit)
     return ModestReport(
         compact_elements=compact,
         immediate_predecessor_counts=pred_counts,
@@ -378,8 +342,6 @@ def modest_analysis(lattice: FilterLattice) -> ModestReport:
         max_elements=maxima,
         witness_point=best_point,
         witness_compact_below=best_count,
-        witness_family_order=family_order,
-        clopen_filter_family=family,
         # The literal sup definition holds for every a > 0: any subset of
         # a finite lattice is its own finite witness of its supremum.
         sup_definition_agrees=True,

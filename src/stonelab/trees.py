@@ -4,12 +4,13 @@ A path is a downward-closed chain of nodes; the path space consists of the
 empty path plus the ancestor-closure of each node, so it has one more
 point than the forest has nodes.  The subsets V_t = {paths containing t}
 form the canonical generating family, and the order of a path equals its
-length, so the maximal order is the height of the forest.
+length, so the maximal order is the height of the forest.  ``paths``
+returns the path space as a plain ``SetSpace`` over the nodes, and
+``initial_chain_algebra`` the atom partition of the subalgebra that the
+strict-ancestor sets generate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import Element, FiniteBooleanAlgebra, SubalgebraPartition, generated_subalgebra
 from .errors import ATOMS, ValidationError
@@ -68,21 +69,15 @@ class FiniteForest:
         return f"FiniteForest(parents={list(self.parent)})"
 
 
-@dataclass(frozen=True)
-class PathSpace(SetSpace):
-    """All downward-closed chains of a forest as node masks, the empty path
-    first; its generators are the V_t, one per node t."""
-
-    forest: FiniteForest
-
-
-def paths(forest: FiniteForest) -> PathSpace:
-    """Enumerate the path space: the empty path, then the ancestor-closure
-    of each node (every nonempty path is determined by its maximum)."""
+def paths(forest: FiniteForest) -> SetSpace:
+    """Enumerate the path space: all downward-closed chains of the forest
+    as node masks, the empty path first, then the ancestor-closure of each
+    node (every nonempty path is determined by its maximum).  Its
+    generators are the V_t, one per node t."""
     masks = [0]
     for t in range(forest.size):
         masks.append(forest.ancestors[t] | (1 << t))
-    return PathSpace(forest.size, tuple(masks), forest)
+    return SetSpace(forest.size, tuple(masks))
 
 
 def sigma_system(forest: FiniteForest) -> PointedSystem:
@@ -93,20 +88,12 @@ def sigma_system(forest: FiniteForest) -> PointedSystem:
     return PointedSystem(paths(forest).family("V+"))
 
 
-@dataclass(frozen=True)
-class ChainAlgebraResult:
-    algebra: FiniteBooleanAlgebra
-    generators: tuple[Element, ...]  # strict-ancestor sets a_t
-    partition: SubalgebraPartition
-    generates_whole: bool
-
-
-def initial_chain_algebra(forest: FiniteForest) -> ChainAlgebraResult:
+def initial_chain_algebra(forest: FiniteForest) -> SubalgebraPartition:
     """Subalgebra of the powerset of the node set generated by the
-    strict-ancestor sets, reported as an atom partition."""
+    strict-ancestor sets a_t, reported as an atom partition; it is the
+    whole powerset when the partition ``is_full``."""
     if forest.size == 0:
         raise ValidationError("initial chain algebra needs at least one node")
     algebra = FiniteBooleanAlgebra(forest.size, cap=ATOMS.maximum)
     gens = tuple(Element(algebra, forest.ancestors[t]) for t in range(forest.size))
-    part = generated_subalgebra(algebra, gens)
-    return ChainAlgebraResult(algebra, gens, part, part.is_full())
+    return generated_subalgebra(algebra, gens)

@@ -12,8 +12,10 @@ from stonelab import (
     generated_subalgebra,
     generates_whole,
 )
-from stonelab.families import PointSet, family_from_sets, is_t0_separating
+from stonelab.families import PointSet, is_t0_separating
 from stonelab.oracles import closure_generates, ultrafilter_closure
+
+from helpers import family_from_sets
 
 
 def alg(n):

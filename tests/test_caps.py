@@ -12,7 +12,6 @@ from stonelab import (
     CapExceededError,
     FiniteBooleanAlgebra,
     FiniteForest,
-    FinitePoset,
     GeneratorPool,
     Member,
     PointSet,
@@ -23,13 +22,12 @@ from stonelab import (
     preset_pool,
     product_system,
     sigma_tree,
-    singleton_system,
 )
 from stonelab import errors as E
 from stonelab.cli import POOLS, build_parser, build_structure, main, system_from_json
 from stonelab.oracles import is_free_sequence_naive
 
-from helpers import meet_chain
+from helpers import antichain, meet_chain, singleton_system
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "stonelab"
@@ -49,11 +47,11 @@ def _sigma_tree_past(cap: int):
 # rows whose default is costly to reach pass a smaller limit
 CASES = {
     E.ATOMS: (lambda: FiniteBooleanAlgebra(65), 65, 64, "atom_count 65 exceeds cap 64"),
-    E.POSET_POINTS: (lambda: final_segments(FinitePoset.antichain(21)), 21, 20,
+    E.POSET_POINTS: (lambda: final_segments(antichain(21)), 21, 20,
                      "poset has 21 points (cap 20); |FS(P)| could reach 2^21"),
     E.SEMILATTICE_POINTS: (lambda: filters(meet_chain(21)), 21, 20,
                            "semilattice has 21 points (cap 20)"),
-    E.UPSETS: (lambda: final_segments(FinitePoset.antichain(3), max_count=7), 8, 7,
+    E.UPSETS: (lambda: final_segments(antichain(3), max_count=7), 8, 7,
                "more than 7 up-sets, a fixed limit"),
     E.SYSTEM_POINTS: (lambda: system_from_json({"kind": "system", "points": 4097}), 4097, 4096,
                       "system has 4097 points, cap is 4096"),
@@ -197,8 +195,7 @@ class TestTreeNodes:
         with pytest.raises(CapExceededError) as info:
             initial_chain_algebra(FiniteForest([None] + [0] * 1024))
         assert (info.value.cap, info.value.limit) == (E.ATOMS, E.ATOMS.maximum)
-        assert initial_chain_algebra(FiniteForest([None] + [0] * 1023)).algebra.atom_count \
-            == 1024
+        assert initial_chain_algebra(FiniteForest([None] + [0] * 1023)).atom_count == 1024
 
 
 def _cap_constant(name: str) -> bool:
@@ -295,13 +292,9 @@ def test_every_option_has_a_caller():
 
 
 # Public names that nothing in src/ or bench/ names outside its own
-# definition, each kept for the reason given.
-UNCALLED = {
-    ("combinators", "singleton_system"),  # a test fixture (23 uses)
-    ("combinators", "system_from_sets"),  # a test fixture (18 uses)
-    ("orders", "FinitePoset.antichain"),  # a test fixture (13 uses)
-    ("orders", "MeetSemilattice.antichain_with_bottom"),  # a test fixture (7 uses)
-}
+# definition, each kept for the reason given; test fixtures live in
+# tests/helpers.py.
+UNCALLED: set = set()
 
 
 def _definitions(src: Path) -> dict:
@@ -377,3 +370,41 @@ def test_every_public_name_has_a_caller():
     reason: the listed names are unused, and every other name is used."""
     assert UNCALLED <= uncalled_names(ROOT)
     assert uncalled_names(ROOT, UNCALLED) == set()
+
+
+# Fields of public records that nothing in src/ or bench/ reads, each kept
+# for the reason given.
+UNREAD: set = set()
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    return (any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
+            or any(ast.unparse(b).endswith("NamedTuple") for b in node.bases))
+
+
+def unread_fields(root: Path) -> set:
+    """(module, "Class.field") for each annotated field of a public
+    dataclass or NamedTuple of ``root``'s package, oracles aside, that no
+    code in its src/ (oracles and ``__init__.py`` aside) or bench/ reads as
+    an attribute.  Like ``uncalled_names``, it matches names: a read of
+    ``x.size`` counts for every field named ``size``."""
+    src = root / "src" / "stonelab"
+    read = {name for name, _, _, kind, _ in _uses(
+        [p for p in sorted(src.glob("*.py")) if p.name not in ("oracles.py", "__init__.py")]
+        + sorted((root / "bench").glob("*.py"))) if kind == "attr"}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name[0] != "_" and _is_record(node):
+                found |= {(path.stem, f"{node.name}.{item.target.id}") for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and item.target.id not in read}
+    return found
+
+
+def test_every_field_is_read():
+    """A field of a result that only tests read is deleted, or listed with
+    its reason."""
+    assert unread_fields(ROOT) == UNREAD

@@ -382,11 +382,12 @@ SYS_FILE = str(Path(__file__).resolve().with_name("golden") / "sys_a.json")
 class TestMalformedInput:
     """Malformed input ends with exit 1 and one stderr line, no traceback."""
 
-    def assert_rejected(self, capsys, *argv):
+    def assert_rejected(self, capsys, *argv) -> str:
         code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("member", [
         {"label": "A"},
@@ -407,6 +408,14 @@ class TestMalformedInput:
         for command in ("solve", "export-dot"):
             self.assert_rejected(capsys, command, "--in", str(f))
 
+    # commands that take the kinds solve's default free pool refuses unread
+    TAKES = {
+        "free": ["analyze", "--analysis", "minsupport", "--clopen", "g0"],
+        "poset": ["analyze", "--analysis", "duality"],
+        "semilattice": ["analyze", "--analysis", "modest"],
+        "tree": ["analyze", "--analysis", "sigma"],
+    }
+
     @pytest.mark.parametrize("fields", [
         {"points": "x"},
         {"members": 5},
@@ -423,9 +432,13 @@ class TestMalformedInput:
         {"kind": "tree", "parents": 5},
     ])
     def test_bad_system_shape(self, tmp_path, capsys, fields):
+        """Each kind goes through a command that takes it, and the one line
+        names the bad field, the last one given."""
         f = tmp_path / "sys.json"
         f.write_text(json.dumps({"kind": "system", "points": 3, "members": [], **fields}))
-        self.assert_rejected(capsys, "solve", "--in", str(f))
+        command = self.TAKES.get(fields.get("kind"), ["solve"])
+        err = self.assert_rejected(capsys, *command, "--in", str(f))
+        assert f"'{list(fields)[-1]}'" in err
 
     @pytest.mark.parametrize("parents, entry", [([-1.0, 0], "-1.0"), ([None, 0.0], "0.0")])
     def test_float_tree_parent(self, tmp_path, capsys, parents, entry):

@@ -11,12 +11,12 @@ from stonelab import (
     alexandrov_duplication,
     porcupine,
     product_system,
-    singleton_system,
     sum_with_point,
-    system_from_sets,
 )
 from stonelab.bits import iter_bits
 from stonelab.families import is_t0_separating, order_profile
+
+from helpers import singleton_system, system_from_sets
 
 # random instances legitimately produce duplicate members; the lint is tested explicitly
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")

@@ -28,13 +28,12 @@ from stonelab.families import (
     PointSet,
     SeparatingFamily,
     SetSpace,
-    family_from_sets,
     is_t0_separating,
     order_profile,
 )
 from stonelab.orders import clopen_filter_family
 
-from helpers import meet_chain
+from helpers import family_from_sets, meet_chain
 
 
 def fam(size, sets):
@@ -255,7 +254,7 @@ class TestSetSpaceReuse:
         monkeypatch.setattr(solver, "final_segments", lambda p: segments)
         monkeypatch.setattr(solver, "semilattice_filters", lambda m: fils)
         assert preset_pool("upsets", segments.poset).points is segments.points
-        assert preset_pool("filters", fils.semilattice).points is fils.points
+        assert preset_pool("filters", meet_chain(3)).points is fils.points
         assert clopen_filter_family(fils).points is fils.points
 
     def test_path_space(self, monkeypatch):

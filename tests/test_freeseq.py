@@ -105,22 +105,22 @@ class TestFreenessCheck:
 
 class TestLongestSearch:
     def test_full_pool_small(self):
-        assert longest_free_sequence(FiniteBooleanAlgebra(3)).length == 2
-        assert longest_free_sequence(FiniteBooleanAlgebra(2)).length == 1
+        assert len(longest_free_sequence(FiniteBooleanAlgebra(3))) == 2
+        assert len(longest_free_sequence(FiniteBooleanAlgebra(2))) == 1
 
     def test_chain_pool_reaches_bound(self):
         for n in range(2, 6):
             B = FiniteBooleanAlgebra(n)
             best = longest_free_sequence(B, pool=chain_tails(B))
-            assert best.length == n - 1
-            assert is_free_sequence(B, best.terms)
+            assert len(best) == n - 1
+            assert is_free_sequence(B, best)
 
     def test_empty_pool(self):
         B = FiniteBooleanAlgebra(3)
-        assert longest_free_sequence(B, pool=[]).length == 0
+        assert len(longest_free_sequence(B, pool=[])) == 0
 
     def test_default_pool_cap(self):
-        assert longest_free_sequence(FiniteBooleanAlgebra(12)).length == 11
+        assert len(longest_free_sequence(FiniteBooleanAlgebra(12))) == 11
         with pytest.raises(CapExceededError, match="atoms capped at 12"):
             longest_free_sequence(FiniteBooleanAlgebra(13))
 
@@ -131,7 +131,7 @@ class TestLongestSearch:
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(1, 6))]
             best = longest_free_sequence(B, pool=pool)
-            assert is_free_sequence(B, best.terms)
+            assert is_free_sequence(B, best)
 
 
 class TestPointSequences:
@@ -147,7 +147,7 @@ class TestPointSequences:
     def test_asymmetry(self):
         B = FiniteBooleanAlgebra(3)
         assert longest_free_point_sequence(B) == 3
-        assert longest_free_sequence(B).length == 2
+        assert len(longest_free_sequence(B)) == 2
 
 
 class TestSigmaTree:
@@ -178,7 +178,7 @@ class TestSigmaTree:
             B = FiniteBooleanAlgebra(n)
             pool = [B.element(m) for m in range(1, B.full_mask)]
             tree = sigma_tree(B, pool)
-            assert tree.to_forest().height() == longest_free_sequence(B, pool=pool).length + 1
+            assert tree.to_forest().height() == len(longest_free_sequence(B, pool=pool)) + 1
 
     def test_height_matches_longest_search(self):
         rng = random.Random(12)
@@ -188,7 +188,7 @@ class TestSigmaTree:
             pool = [B.element(rng.randrange(1 << n)) for _ in range(rng.randint(1, 5))]
             tree = sigma_tree(B, pool)
             best = longest_free_sequence(B, pool=pool)
-            assert tree.to_forest().height() == best.length + 1
+            assert tree.to_forest().height() == len(best) + 1
 
     def test_node_cap(self):
         B = FiniteBooleanAlgebra(4)
@@ -255,14 +255,14 @@ class TestCellSearch:
             cases.append((B, pool, longest_free_sequence(B)))
         for B, pool, got in cases:
             for stop in (True, False):
-                assert [t.bits for t in got.terms] == _longest_reference(B, pool, stop)
+                assert [t.bits for t in got] == _longest_reference(B, pool, stop)
 
     def test_long_chain_without_recursion(self):
         B = FiniteBooleanAlgebra(1024, cap=1024)
         pool = [B.element(B.full_mask >> i << i) for i in range(1, 1024)]
         best = longest_free_sequence(B, pool=pool)
-        assert best.length == 1023
-        assert [t.bits for t in best.terms] == [e.bits for e in pool]
+        assert len(best) == 1023
+        assert [t.bits for t in best] == [e.bits for e in pool]
 
     def test_sigma_tree_every_three_atom_pool(self):
         B = FiniteBooleanAlgebra(3)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,13 @@ from stonelab import (
     prime_clopen_filters,
 )
 from stonelab.bits import upper_covers
-from stonelab.families import is_t0_separating
+from stonelab.families import is_t0_separating, order_profile
 from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
-from stonelab.orders import compact_elements_clopen
+from stonelab.orders import clopen_filter_family, compact_elements_clopen
 
-from helpers import meet_chain
+from helpers import antichain, antichain_with_bottom, intersection_semilattice, meet_chain
+
+GOLDEN = Path(__file__).resolve().with_name("golden")
 
 
 class TestPosetValidation:
@@ -62,14 +66,14 @@ class TestPosetValidation:
 
 class TestFinalSegments:
     def test_antichain_two(self):
-        assert final_segments(FinitePoset.antichain(2)).size == 4
+        assert final_segments(antichain(2)).size == 4
 
     def test_chain_three_exact(self):
         L = final_segments(FinitePoset.chain(3))
         assert L.sets == (0b000, 0b100, 0b110, 0b111)
 
     def test_single_point(self):
-        assert final_segments(FinitePoset.antichain(1)).size == 2
+        assert final_segments(antichain(1)).size == 2
 
     def test_chain_counts(self):
         for n in range(1, 9):
@@ -107,7 +111,7 @@ class TestFinalSegments:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            final_segments(FinitePoset.antichain(5), cap=4)
+            final_segments(antichain(5), cap=4)
 
 
 class TestPosetSystem:
@@ -120,13 +124,13 @@ class TestPosetSystem:
         assert is_t0_separating(family).separating
 
     def test_antichain_two(self):
-        family = final_segments(FinitePoset.antichain(2)).family("a_")
+        family = final_segments(antichain(2)).family("a_")
         assert family.points.size == 4
         assert family.size == 2
         assert is_t0_separating(family).separating
 
     def test_single_point(self):
-        family = final_segments(FinitePoset.antichain(1)).family("a_")
+        family = final_segments(antichain(1)).family("a_")
         assert family.points.size == 2
         assert family.size == 1
         assert is_t0_separating(family).separating
@@ -152,21 +156,21 @@ class TestPosetSystem:
 
 class TestPrimeFilters:
     def test_antichain_two(self):
-        assert len(prime_clopen_filters(final_segments(FinitePoset.antichain(2)))) == 2
+        assert len(prime_clopen_filters(final_segments(antichain(2)))) == 2
 
     def test_chain_three(self):
         assert len(prime_clopen_filters(final_segments(FinitePoset.chain(3)))) == 3
 
     def test_single_point(self):
-        assert len(prime_clopen_filters(final_segments(FinitePoset.antichain(1)))) == 1
+        assert len(prime_clopen_filters(final_segments(antichain(1)))) == 1
 
     def test_minima_are_principal_segments(self):
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
                 P = FinitePoset(up)
                 L = final_segments(P)
-                for pf in prime_clopen_filters(L):
-                    assert L.sets[pf.minimum_index] == P.up[pf.poset_element]
+                minima = [(f & -f).bit_length() - 1 for f in prime_clopen_filters(L)]
+                assert [L.sets[a] for a in minima] == list(P.up)
 
     def test_equals_enumeration_oracle(self):
         """Principal filters at join-prime elements = every prime filter
@@ -196,20 +200,18 @@ class TestPrimeFilters:
                 if all(index[segs[x] | segs[y]] not in inside for x in outside for y in outside):
                     expected.append(sum(1 << i for i in inside))
             got = prime_clopen_filters(L)
-            assert sorted(pf.filter_mask for pf in got) == sorted(expected)
+            assert sorted(got) == sorted(expected)
 
 
 class TestDiscreteWitness:
     def test_chain_middle(self):
-        w = discrete_witness(FinitePoset.chain(3), 1)
-        assert w.tau == (0,)
+        assert discrete_witness(FinitePoset.chain(3), 1) == (0,)
 
     def test_antichain(self):
-        w = discrete_witness(FinitePoset.antichain(2), 0)
-        assert w.tau == ()  # minimal equivalent of {b}: nothing below a
+        assert discrete_witness(antichain(2), 0) == ()  # minimal equivalent of {b}: nothing below a
 
     def test_single_point(self):
-        assert discrete_witness(FinitePoset.antichain(1), 0).tau == ()
+        assert discrete_witness(antichain(1), 0) == ()
 
     def test_isolation_via_segment_slab(self):
         # cross-check in FS(P): the slab contains min(a_q) only for q = p
@@ -218,7 +220,7 @@ class TestDiscreteWitness:
                 P = FinitePoset(up)
                 L = final_segments(P)
                 for p in range(n):
-                    tau = discrete_witness(P, p).tau
+                    tau = discrete_witness(P, p)
                     tau_mask = sum(1 << t for t in tau)
                     slab = [
                         seg
@@ -278,7 +280,7 @@ class TestPosetKernels:
                 )
                 assert P.immediate_predecessors(p) == maximal
                 assert covers[p] == sum(1 << q for q in maximal)
-                assert discrete_witness(P, p).tau == maximal
+                assert discrete_witness(P, p) == maximal
 
     def test_segment_covers_against_the_generic_kernel(self):
         """FS(P)'s covers read off P equal ``bits.upper_covers`` on its sets."""
@@ -324,7 +326,7 @@ class TestMeetSemilattice:
         assert filters(meet_chain(1)).size == 2
 
     def test_antichain_with_bottom(self):
-        M = MeetSemilattice.antichain_with_bottom(2)
+        M = antichain_with_bottom(2)
         L = filters(M)
         # empty, two principal atoms, principal bottom (= everything)
         assert L.size == 4
@@ -342,16 +344,8 @@ class TestMeetSemilattice:
         meet-semilattice: Fil(M) is the empty set plus every meet-closed
         up-set, found by scanning all subsets."""
         rng = random.Random(71)
-        checked = 0
-        while checked < 100:
-            sets = {rng.randrange(16) for _ in range(rng.randint(1, 3))}
-            while any(a & b not in sets for a in sets for b in sets):
-                sets |= {a & b for a in sets for b in sets}
-            if len(sets) > 6:
-                continue
-            elems = sorted(sets)
-            index = {m: i for i, m in enumerate(elems)}
-            M = MeetSemilattice([[index[a & b] for b in elems] for a in elems])
+        for _ in range(100):
+            M = intersection_semilattice(rng, 6)
             n = M.size
             meet_closed = {
                 u for u in upsets_bruteforce(n, M.up)
@@ -359,7 +353,6 @@ class TestMeetSemilattice:
                        for i in range(n) for j in range(n) if u >> i & 1 and u >> j & 1)
             }
             assert set(filters(M).sets) == {0} | meet_closed
-            checked += 1
 
     def test_not_associative(self):
         # commutative and idempotent, but (0^1)^2 = 2 while 0^(1^2) = 0
@@ -390,7 +383,7 @@ class TestMeetSemilattice:
         assert 0 < associative < tables
 
     def test_system_t0(self):
-        for M in (meet_chain(4), MeetSemilattice.antichain_with_bottom(3)):
+        for M in (meet_chain(4), antichain_with_bottom(3)):
             assert is_t0_separating(filters(M).family("a_")).separating
 
 
@@ -401,7 +394,6 @@ class TestModest:
         assert len(rep.compact_elements) == 3
         assert rep.witness_point == L.size - 1  # top
         assert rep.witness_compact_below == 3
-        assert rep.witness_family_order == 3
         assert rep.is_modest
         assert rep.sup_definition_agrees
 
@@ -412,7 +404,7 @@ class TestModest:
         assert rep.witness_compact_below == 1
 
     def test_antichain_with_bottom(self):
-        M = MeetSemilattice.antichain_with_bottom(2)
+        M = antichain_with_bottom(2)
         L = filters(M)
         rep = modest_analysis(L)
         # four filters: empty, up(1), up(2), up(0)=everything
@@ -426,12 +418,27 @@ class TestModest:
         )
 
     def test_clopen_family_is_separating(self):
-        for M in (meet_chain(3), MeetSemilattice.antichain_with_bottom(3)):
-            rep = modest_analysis(filters(M))
-            assert is_t0_separating(rep.clopen_filter_family).separating
+        for M in (meet_chain(3), antichain_with_bottom(3)):
+            assert is_t0_separating(clopen_filter_family(filters(M))).separating
+
+    def test_witness_order_in_the_family(self):
+        """The witness point's order in the family G is the count of
+        compact elements below it, on the modest goldens' semilattices and
+        on seeded intersection-closed ones."""
+        reports = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.txt"))
+                   if p.read_text().startswith("{")]
+        meets = [r["input"]["meet"] for r in reports if r.get("analysis") == "modest"]
+        assert meets
+        rng = random.Random(73)
+        for M in [*map(MeetSemilattice, meets),
+                  *(intersection_semilattice(rng, 8) for _ in range(100))]:
+            L = filters(M)
+            rep = modest_analysis(L)
+            order = order_profile(clopen_filter_family(L)).per_point[rep.witness_point]
+            assert order == rep.witness_compact_below
 
     def test_compact_cross_check(self):
-        for M in (meet_chain(4), MeetSemilattice.antichain_with_bottom(2)):
+        for M in (meet_chain(4), antichain_with_bottom(2)):
             L = filters(M)
             nonempty = tuple(i for i, f in enumerate(L.sets) if f)
             assert compact_elements_clopen(L) == nonempty

@@ -19,7 +19,7 @@ from stonelab.families import Member, PointSet, is_t0_separating, order_profile
 from stonelab.oracles import backtracking_min_max_order, exhaustive_min_max_order
 from stonelab.solver import _Kernel
 
-from helpers import meet_chain
+from helpers import antichain, meet_chain
 
 
 def pool_from_masks(npts, masks, tag="custom"):
@@ -173,7 +173,7 @@ class TestPresets:
         assert pool.candidates[0].bits == 0b1111
 
     def test_upsets_antichain_two(self):
-        pool = preset_pool("upsets", FinitePoset.antichain(2))
+        pool = preset_pool("upsets", antichain(2))
         assert pool.points.size == 4
         assert pool.size == 4  # one principal up-set per segment
 

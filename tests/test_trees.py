@@ -142,19 +142,19 @@ class TestSigmaSystem:
 
 class TestInitialChainAlgebra:
     def test_chain_three_full(self):
-        res = initial_chain_algebra(chain_forest(3))
-        assert res.generates_whole
-        assert res.partition.blocks == (1, 2, 4)
-        assert [g.bits for g in res.generators] == [0b000, 0b001, 0b011]
+        forest = chain_forest(3)
+        partition = initial_chain_algebra(forest)
+        assert partition.is_full()
+        assert partition.blocks == (1, 2, 4)
+        assert forest.ancestors == (0b000, 0b001, 0b011)  # the generators a_t
 
     def test_two_root_antichain_trivial(self):
-        res = initial_chain_algebra(FiniteForest([None, None]))
-        assert not res.generates_whole
-        assert res.partition.block_count == 1
+        partition = initial_chain_algebra(FiniteForest([None, None]))
+        assert not partition.is_full()
+        assert partition.block_count == 1
 
     def test_single_node_trivial(self):
-        res = initial_chain_algebra(FiniteForest([None]))
-        assert res.partition.block_count == 1
+        assert initial_chain_algebra(FiniteForest([None])).block_count == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -162,8 +162,7 @@ class TestInitialChainAlgebra:
 
     def test_branching_tree_not_full(self):
         # siblings share the ancestor set, so they are never separated
-        res = initial_chain_algebra(FiniteForest([None, 0, 0]))
-        assert not res.generates_whole
+        assert not initial_chain_algebra(FiniteForest([None, 0, 0])).is_full()
 
 
 def test_tree_shape_counts():
