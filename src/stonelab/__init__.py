@@ -10,7 +10,6 @@ from .algebra import (
 )
 from .combinators import (
     PorcupineResult,
-    PorcupineSpec,
     alexandrov_duplication,
     porcupine,
     product_system,

@@ -45,15 +45,8 @@ class FiniteBooleanAlgebra:
     def __repr__(self):
         return f"FiniteBooleanAlgebra({self.atom_count})"
 
-    def element(self, atoms) -> "Element":
-        """Element from an int mask or an iterable of atom indices."""
-        if isinstance(atoms, int):
-            return Element(self, atoms)
-        mask = 0
-        for a in atoms:
-            if not 0 <= a < self.atom_count:
-                raise ValidationError(f"atom index {a} out of range")
-            mask |= 1 << a
+    def element(self, mask: int) -> "Element":
+        """Element whose atoms are the set bits of ``mask``."""
         return Element(self, mask)
 
 

@@ -60,6 +60,16 @@ def product_system(s1: PointedSystem, s2: PointedSystem) -> PointedSystem:
     return PointedSystem(SeparatingFamily(pts, tuple(members)), base)
 
 
+def _tagged_union(systems) -> tuple[list[int], list[str]]:
+    """The systems' points laid side by side: each system's offset, and
+    every point's label tagged with its system's index, ``k.label``."""
+    offsets, labels = [], []
+    for k, s in enumerate(systems):
+        offsets.append(len(labels))
+        labels.extend(f"{k}.{label}" for label in map(s.points.label, range(s.size)))
+    return offsets, labels
+
+
 def sum_with_point(systems) -> PointedSystem:
     """Disjoint union plus one new point with empty pattern.
 
@@ -70,17 +80,10 @@ def sum_with_point(systems) -> PointedSystem:
     with the new point).
     """
     systems = list(systems)
-    offsets = []
-    total = 0
-    for s in systems:
-        offsets.append(total)
-        total += s.size
-    inf_index = total
-    labels = []
-    for k, s in enumerate(systems):
-        labels.extend(f"{k}.{label}" for label in map(s.points.label, range(s.size)))
+    offsets, labels = _tagged_union(systems)
+    inf_index = len(labels)
     labels.append("inf")
-    pts = PointSet(total + 1, tuple(labels))
+    pts = PointSet(inf_index + 1, tuple(labels))
     members = []
     for k, s in enumerate(systems):
         for m in s.family.members:
@@ -117,30 +120,6 @@ def alexandrov_duplication(system: PointedSystem, dup_points) -> PointedSystem:
 
 
 @dataclass(frozen=True)
-class PorcupineSpec:
-    """Index system X, one fiber system per index point, and a section.
-
-    ``section[x]`` is a point index local to fiber x.  Fibers are made
-    disjoint by construction (tagged union), so callers need not relabel.
-    """
-
-    index: PointedSystem
-    fibers: tuple[PointedSystem, ...]
-    section: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.fibers) != self.index.size:
-            raise ValidationError("need exactly one fiber per index point")
-        if len(self.section) != self.index.size:
-            raise ValidationError("section must pick one point per fiber")
-        for x, s in enumerate(self.section):
-            if not 0 <= s < self.fibers[x].size:
-                raise ValidationError(
-                    f"section point {s} out of range for fiber {x}"
-                )
-
-
-@dataclass(frozen=True)
 class PorcupinePointOrders:
     """Order decomposition of one output point.
 
@@ -168,8 +147,11 @@ class PorcupineResult:
     split_fibers: tuple[int, ...]  # index points whose fiber family splits around the section
 
 
-def porcupine(spec: PorcupineSpec) -> PorcupineResult:
-    """Glue the fibers over the index system along the section.
+def porcupine(index: PointedSystem, fibers, section) -> PorcupineResult:
+    """Glue the fibers, one system per point of the index system, over it
+    along the section: ``section[x]`` is a point local to fiber x.  The
+    fibers are made disjoint by a tagged union, so callers need not
+    relabel.
 
     The output family has three member kinds:
 
@@ -183,14 +165,20 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     section points, and the around-section members split a fiber at its
     section point only when some W contains the fiber's index).
     """
-    X = spec.index
-    _warn_if_not_t0(X, "index")
-    for x, f in enumerate(spec.fibers):
+    if len(fibers) != index.size:
+        raise ValidationError("need exactly one fiber per index point")
+    if len(section) != index.size:
+        raise ValidationError("section must pick one point per fiber")
+    for x, s in enumerate(section):
+        if not 0 <= s < fibers[x].size:
+            raise ValidationError(f"section point {s} out of range for fiber {x}")
+    _warn_if_not_t0(index, "index")
+    for x, f in enumerate(fibers):
         _warn_if_not_t0(f, f"fiber {x}")
     covered = 0
-    for m in X.family.members:
+    for m in index.family.members:
         covered |= m.bits
-    if covered != (1 << X.size) - 1:
+    if covered != (1 << index.size) - 1:
         warnings.warn(
             "index family does not cover every index point; "
             "T0-separation of the porcupine output is not guaranteed",
@@ -198,24 +186,15 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
             stacklevel=2,
         )
 
-    offsets = []
-    total = 0
-    for f in spec.fibers:
-        offsets.append(total)
-        total += f.size
-    fiber_mask = [
-        ((1 << f.size) - 1) << offsets[x] for x, f in enumerate(spec.fibers)
-    ]
-    labels = []
-    for x, f in enumerate(spec.fibers):
-        labels.extend(f"{x}.{label}" for label in map(f.points.label, range(f.size)))
-    pts = PointSet(total, tuple(labels))
+    offsets, labels = _tagged_union(fibers)
+    fiber_mask = [((1 << f.size) - 1) << offsets[x] for x, f in enumerate(fibers)]
+    pts = PointSet(len(labels), tuple(labels))
 
     # per fiber x: its members avoiding s(x) (the V0 members) and those
     # holding s(x) (each W containing x builds one V1 member around each)
     v0_local, around = [], []
-    for x, f in enumerate(spec.fibers):
-        sbit = 1 << spec.section[x]
+    for x, f in enumerate(fibers):
+        sbit = 1 << section[x]
         v0_local.append([m for m in f.family.members if not m.bits & sbit])
         around.append([m for m in f.family.members if m.bits & sbit])
 
@@ -224,13 +203,13 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
         for x, fiber_v0 in enumerate(v0_local) for m in fiber_v0
     ]
     unions = []  # per index member W: the union of the fibers over W
-    for w in X.family.members:
+    for w in index.family.members:
         mask = 0
         for x in points(w.bits):
             mask |= fiber_mask[x]
         unions.append(mask)
         members.append(Member(f"porc:V1:full:W={w.label}", mask))
-    for w, union in zip(X.family.members, unions):
+    for w, union in zip(index.family.members, unions):
         for x in points(w.bits):
             others = union & ~fiber_mask[x]
             members.extend(
@@ -245,11 +224,11 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
     # members built around s(x) whose U holds i, v_star times over; and in
     # every V1 member built around s(y) for another y of such a W, since that
     # member holds all of fiber x.
-    index_cols = transpose([w.bits for w in X.family.members], X.size)
+    index_cols = transpose([w.bits for w in index.family.members], index.size)
     around_count = [len(a) for a in around]
-    around_sum = [sum(around_count[y] for y in points(w.bits)) for w in X.family.members]
+    around_sum = [sum(around_count[y] for y in points(w.bits)) for w in index.family.members]
     decomposition = []
-    for x, f in enumerate(spec.fibers):
+    for x, f in enumerate(fibers):
         v_star = index_cols[x].bit_count()
         v_star2 = sum(around_sum[k] for k in points(index_cols[x])) - v_star * around_count[x]
         v0_cols = transpose([m.bits for m in v0_local[x]], f.size)
@@ -262,7 +241,7 @@ def porcupine(spec: PorcupineSpec) -> PorcupineResult:
 
     split = tuple(
         x
-        for x, f in enumerate(spec.fibers)
+        for x, f in enumerate(fibers)
         if any(u.bits != (1 << f.size) - 1 for u in around[x])
     )
     return PorcupineResult(system, tuple(decomposition), split)

@@ -54,14 +54,8 @@ class Cap(NamedTuple):
 
 
 class PoolInsufficientError(ValidationError):
-    """A candidate pool cannot T0-separate its point set even without budget.
-
-    Carries one unseparated pair as ``witness``.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A candidate pool cannot T0-separate its point set even without
+    budget; the message names one unseparated pair."""
 
 
 class OracleMismatchError(StonelabError):

@@ -143,7 +143,6 @@ def min_support_ultrafilter(w: FreeElement) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DensityReport:
-    generator_count: int
     pairs_checked: int
     failures: tuple
 
@@ -182,4 +181,4 @@ def dense_small_support_check(s: int) -> DensityReport:
                 elif r == 2:
                     tau.append(i)
             check(sigma, tau)
-    return DensityReport(s, checked, tuple(failures))
+    return DensityReport(checked, tuple(failures))

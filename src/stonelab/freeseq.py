@@ -162,7 +162,6 @@ class SigmaTree:
     child extends its parent by one term.
     """
 
-    algebra: FiniteBooleanAlgebra
     pool_bits: tuple[int, ...]
     nodes: tuple[tuple[int, ...], ...]
 
@@ -194,7 +193,7 @@ def sigma_tree(algebra: FiniteBooleanAlgebra, pool: Sequence[Element],
     limit = algebra.atom_count - 1
     nodes = list(islice(_free_sequences(bits, algebra.full_mask, limit), node_cap + 1))
     SIGMA_NODES.check(len(nodes), node_cap)
-    return SigmaTree(algebra, tuple(bits), tuple(nodes))
+    return SigmaTree(tuple(bits), tuple(nodes))
 
 
 def sigma_squared(tree: SigmaTree) -> PointedSystem:

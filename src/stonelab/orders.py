@@ -1,13 +1,15 @@
 """Finite posets and meet-semilattices with their dual point sets.
 
-The final segments FS(P) of a poset and the filters Fil(M) of a
-meet-semilattice serve as Stone-dual point sets; the canonical generating
-families are the sets a_p = {u : p in u}.  ``filters`` returns Fil(M) as a
-plain ``SetSpace``, while FS(P) keeps P to read its Hasse covers off.
-``prime_clopen_filters`` returns the prime filters of FS(P) as masks in
-P's order, each filter's minimum its lowest set bit; ``discrete_witness``
-returns the set tau_p; ``modest_analysis`` reports the compact elements
-and immediate predecessors of a filter lattice.
+A poset is built one way, ``FinitePoset(size, pairs)``, as the closure
+of its p <= q pairs.  The final segments FS(P) of a poset and the filters
+Fil(M) of a meet-semilattice serve as Stone-dual point sets; the
+canonical generating families are the sets a_p = {u : p in u}.
+``filters`` returns Fil(M) as a plain ``SetSpace``, while FS(P) keeps P
+to read its Hasse covers off.  ``prime_clopen_filters`` returns the
+prime filters of FS(P) as masks in P's order, each filter's minimum its
+lowest set bit; ``discrete_witness`` returns the set tau_p;
+``modest_analysis`` reports the compact elements and immediate
+predecessors of a filter lattice.
 """
 
 from __future__ import annotations
@@ -22,49 +24,27 @@ from .families import Member, SeparatingFamily, SetSpace
 
 
 class FinitePoset:
-    """Partial order on {0, ..., n-1} as a bit matrix: ``up[i]`` is the mask
-    of {j : i <= j} and ``down``, its transpose, the mask of {j : j <= i}."""
+    """Partial order on {0, ..., n-1}, the reflexive-transitive closure of
+    the given p <= q pairs, as a bit matrix: ``up[i]`` is the mask of
+    {j : i <= j} and ``down``, its transpose, the mask of {j : j <= i}.
+
+    Rows are closed in reverse topological order of the pair graph, so
+    each row is its own bit or'ed with the finished rows of its direct
+    successors: reflexive and transitive by construction, and
+    antisymmetric since pairs that close a cycle are refused.
+    """
 
     __slots__ = ("size", "up", "down")
 
-    def __init__(self, up_masks):
-        up = tuple(up_masks)
-        n = len(up)
-        if n < 1:
-            raise ValidationError("poset must be nonempty")
-        full = (1 << n) - 1
-        for i, m in enumerate(up):
-            if not 0 <= m <= full:
-                raise ValidationError("relation mask out of range")
-            if not m >> i & 1:
-                raise ValidationError(f"relation not reflexive at {i}")
-        down = tuple(transpose(up, n))
-        for i, m in enumerate(up):
-            both = m & down[i] & ~(1 << i)
-            if both:
-                j = (both & -both).bit_length() - 1
-                raise ValidationError(f"relation not antisymmetric at ({i},{j})")
-            for j in points(m):  # i <= j <= k must give i <= k
-                if up[j] & ~m:
-                    raise ValidationError(f"relation not transitive at ({i},{j})")
-        self.size = n
-        self.up = up
-        self.down = down
-
-    @classmethod
-    def from_pairs(cls, size: int, pairs) -> "FinitePoset":
-        """Reflexive-transitive closure of the given p <= q pairs.
-
-        Rows are closed in reverse topological order of the pair graph, so
-        each row is its own bit or'ed with the finished rows of its direct
-        successors.
-        """
+    def __init__(self, size: int, pairs):
         succ = [0] * size
         for p, q in pairs:
             if not (0 <= p < size and 0 <= q < size):
                 raise ValidationError(f"pair ({p},{q}) out of range")
             if p != q:
                 succ[p] |= 1 << q
+        if size < 1:
+            raise ValidationError("poset must be nonempty")
         preds = transpose(succ, size)
         waiting = [s.bit_count() for s in succ]  # successors not yet closed
         up = [0] * size
@@ -81,11 +61,13 @@ class FinitePoset:
                     ready.append(k)
         if not all(up):
             raise ValidationError("pairs contain a cycle, so they define no partial order")
-        return cls(up)
+        self.size = size
+        self.up = tuple(up)
+        self.down = tuple(transpose(up, size))
 
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
-        return cls(tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
+        return cls(n, [(i, i + 1) for i in range(n - 1)])
 
     def strict_down(self, p: int) -> int:
         return self.down[p] & ~(1 << p)
@@ -234,7 +216,7 @@ class MeetSemilattice:
     ``up[i]`` is the mask of {j : i <= j}, read off row i of the table.
     """
 
-    __slots__ = ("size", "table", "up")
+    __slots__ = ("size", "up")
 
     def __init__(self, table):
         rows = [tuple(r) for r in table]
@@ -267,7 +249,6 @@ class MeetSemilattice:
                     raise ValidationError(f"meet not associative: meet({i},{j}) = {m} "
                                           f"is not the greatest lower bound of {i} and {j}")
         self.size = n
-        self.table = tuple(rows)
         self.up = tuple(up)
 
 
@@ -291,11 +272,9 @@ class ModestReport:
 
     compact_elements: tuple[int, ...]
     immediate_predecessor_counts: tuple[int, ...]  # aligned with compact_elements
-    is_modest: bool
     max_elements: tuple[int, ...]
     witness_point: int
     witness_compact_below: int
-    sup_definition_agrees: bool
 
 
 def compact_elements_clopen(lattice: SetSpace) -> tuple[int, ...]:
@@ -328,7 +307,6 @@ def modest_analysis(lattice: SetSpace) -> ModestReport:
     covers = lattice.covers
     lower_covers = transpose(covers, lattice.size)
     pred_counts = tuple(lower_covers[i].bit_count() for i in compact)
-    is_modest = True  # every immediate-predecessor set is finite here; counts reported
     maxima = tuple(i for i in range(lattice.size) if not covers[i])
 
     up = lattice.up  # a is below p exactly when up[a] holds p
@@ -338,11 +316,7 @@ def modest_analysis(lattice: SetSpace) -> ModestReport:
     return ModestReport(
         compact_elements=compact,
         immediate_predecessor_counts=pred_counts,
-        is_modest=is_modest,
         max_elements=maxima,
         witness_point=best_point,
         witness_compact_below=best_count,
-        # The literal sup definition holds for every a > 0: any subset of
-        # a finite lattice is its own finite witness of its supremum.
-        sup_definition_agrees=True,
     )

@@ -10,6 +10,7 @@ import random
 
 from . import oracles
 from .algebra import FiniteBooleanAlgebra, generates_whole
+from .bits import points
 from .errors import OracleMismatchError
 from .families import Member, PointSet
 from .freeseq import is_free_sequence
@@ -41,8 +42,9 @@ def _separating_pools(rng):
 def _segment_lattices(rng):
     """FS(P) for each poset P of 1-3 points up to isomorphism; draws nothing."""
     for n in range(1, 4):
-        for up in oracles.posets_up_to_iso(n):
-            yield (final_segments(FinitePoset(up)),)
+        for up in oracles.posets_up_to_iso(n):  # built from the pairs its rows list
+            poset = FinitePoset(n, [(p, q) for p, row in enumerate(up) for q in points(row)])
+            yield (final_segments(poset),)
 
 
 # The rows draw from one generator in this order, so a seed names the same

@@ -131,9 +131,7 @@ class _Kernel:
         """Fail fast when some pair is covered by no candidate at all."""
         if self.unseparated is not None:
             x, y = self.unseparated
-            raise PoolInsufficientError(
-                f"pool cannot separate points {x} and {y}", witness=(x, y)
-            )
+            raise PoolInsufficientError(f"pool cannot separate points {x} and {y}")
 
     def decide(self, k: int) -> tuple[list[int] | None, int]:
         """Depth-first search for a T0 family with max order <= k.

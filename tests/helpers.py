@@ -3,6 +3,7 @@
 import random
 
 from stonelab import FinitePoset, MeetSemilattice, Member, PointedSystem, PointSet, SeparatingFamily
+from stonelab.bits import points
 
 
 def meet_chain(n: int) -> MeetSemilattice:
@@ -16,9 +17,9 @@ def antichain_with_bottom(k: int) -> MeetSemilattice:
     return MeetSemilattice([[i if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def intersection_semilattice(rng: random.Random, most: int) -> MeetSemilattice:
-    """The closure under intersection of 1-3 random subsets of 4 points,
-    read as a meet-semilattice; drawn again until it has at most ``most``
+def intersection_meet_table(rng: random.Random, most: int) -> list[list[int]]:
+    """The meet table of the closure under intersection of 1-3 random
+    subsets of 4 points; drawn again until it has at most ``most``
     elements."""
     while True:
         sets = {rng.randrange(16) for _ in range(rng.randint(1, 3))}
@@ -27,12 +28,18 @@ def intersection_semilattice(rng: random.Random, most: int) -> MeetSemilattice:
         if len(sets) <= most:
             elems = sorted(sets)
             index = {m: i for i, m in enumerate(elems)}
-            return MeetSemilattice([[index[a & b] for b in elems] for a in elems])
+            return [[index[a & b] for b in elems] for a in elems]
 
 
 def antichain(n: int) -> FinitePoset:
     """n pairwise-incomparable points."""
-    return FinitePoset(tuple(1 << i for i in range(n)))
+    return poset_from_rows(tuple(1 << i for i in range(n)))
+
+
+def poset_from_rows(up) -> FinitePoset:
+    """The poset whose up-set rows are ``up`` (an oracle's output, say),
+    built from the p <= q pairs the rows list."""
+    return FinitePoset(len(up), [(p, q) for p, row in enumerate(up) for q in points(row)])
 
 
 def family_from_sets(points: PointSet, sets) -> SeparatingFamily:

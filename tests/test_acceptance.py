@@ -17,7 +17,6 @@ from stonelab import (
     FiniteBooleanAlgebra,
     FinitePoset,
     FiniteForest,
-    PorcupineSpec,
     alexandrov_duplication,
     dense_small_support_check,
     discrete_witness,
@@ -46,7 +45,7 @@ from stonelab.oracles import (
     ultrafilter_closure,
 )
 
-from helpers import antichain, family_from_sets, system_from_sets
+from helpers import antichain, family_from_sets, poset_from_rows, system_from_sets
 from test_solver import random_pool
 
 pytestmark = pytest.mark.filterwarnings("ignore::stonelab.errors.LintWarning")
@@ -115,7 +114,7 @@ def test_poset_duality():
     poset_count = 0
     for n in range(1, 5):
         for up in posets_up_to_iso(n):
-            P = FinitePoset(up)
+            P = poset_from_rows(up)
             lattice = final_segments(P)
             assert is_t0_separating(lattice.family("a_")).separating
             primes = prime_clopen_filters(lattice)  # raises on bijection failure
@@ -135,7 +134,7 @@ def test_discrete_generator_witnesses():
     checked = 0
     for n in range(1, 5):
         for up in posets_up_to_iso(n):
-            P = FinitePoset(up)
+            P = poset_from_rows(up)
             lattice = final_segments(P)
             for p in range(n):
                 tau = discrete_witness(P, p)  # raises if not isolating
@@ -204,7 +203,7 @@ def test_combinator_order_laws():
             _random_t0_system(rng, max_points=3) for _ in range(X.points.size)
         )
         section = tuple(rng.randrange(f.points.size) for f in fibers)
-        res = porcupine(PorcupineSpec(X, fibers, section))
+        res = porcupine(X, fibers, section)
         assert is_t0_separating(res.system.family).separating
         prof = order_profile(res.system.family)
         # independent recount of each part from the provenance labels

@@ -31,7 +31,7 @@ class TestElementOps:
 class TestGeneratedSubalgebra:
     def test_two_sets_generate_whole_n4(self):
         B = alg(4)
-        part = generated_subalgebra(B, [B.element([0, 1]), B.element([1, 2])])
+        part = generated_subalgebra(B, [B.element(0b011), B.element(0b110)])
         assert part.block_count == 4
         assert part.is_full()
 
@@ -42,7 +42,7 @@ class TestGeneratedSubalgebra:
 
     def test_single_full_set_trivial(self):
         B = alg(2)
-        part = generated_subalgebra(B, [B.element([0, 1])])
+        part = generated_subalgebra(B, [B.element(0b11)])
         assert part.block_count == 1
 
 
@@ -50,15 +50,15 @@ class TestGeneratesWhole:
     def test_singletons_generate(self):
         for n in range(1, 8):
             B = alg(n)
-            assert generates_whole(B, [B.element([a]) for a in range(n)])
+            assert generates_whole(B, [B.element(1 << a) for a in range(n)])
 
     def test_pair_not_separated(self):
         B = alg(3)
-        assert not generates_whole(B, [B.element([0, 1])])
+        assert not generates_whole(B, [B.element(0b011)])
 
     def test_two_singletons_over_three_atoms(self):
         B = alg(3)
-        assert generates_whole(B, [B.element([0]), B.element([1])])
+        assert generates_whole(B, [B.element(0b001), B.element(0b010)])
 
     def test_agrees_with_closure_oracle_exhaustive_n3(self):
         for n in range(1, 4):

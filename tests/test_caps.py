@@ -237,7 +237,6 @@ OPTIONS = {
     ("errors", "Cap", "flag"),  # the rows with a CLI knob
     ("errors", "Cap", "env"),  # the rows with a CLI knob
     ("errors", "Cap.check", "limit"),  # the knob values cli, orders and solver pass
-    ("errors", "PoolInsufficientError.__init__", "witness"),  # solver's pool check
     ("families", "PointSet", "labels"),  # the combinators, cli.system_from_json
     ("families", "PointedSystem", "base_point"),  # the combinators, cli.system_from_json
     ("families", "T0Result", "witness"),  # is_t0_separating on failure
@@ -312,15 +311,16 @@ def _definitions(src: Path) -> dict:
 
 
 def _uses(paths) -> list:
-    """(name, path, line, kind, receiver) for each bare name, attribute and
-    string passed as a keyword argument (``set_defaults(func="cmd_...")``);
-    ``receiver`` is the bare name an attribute is read off."""
+    """(name, path, line, kind, receiver) for each bare name, attribute
+    read (``x.a = ...`` reads nothing) and string passed as a keyword
+    argument (``set_defaults(func="cmd_...")``); ``receiver`` is the bare
+    name an attribute is read off."""
     found = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 found.append((node.id, path, node.lineno, "name", None))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 found.append((node.attr, path, node.lineno, "attr",
                               getattr(node.value, "id", None)))
             elif isinstance(node, ast.keyword) and isinstance(node.value, ast.Constant):
@@ -377,34 +377,86 @@ def test_every_public_name_has_a_caller():
 UNREAD: set = set()
 
 
-def _is_record(node: ast.ClassDef) -> bool:
-    return (any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
-            or any(ast.unparse(b).endswith("NamedTuple") for b in node.bases))
+def _fields(node: ast.ClassDef) -> list:
+    """The fields of a record: the annotated names of a dataclass or
+    NamedTuple, else the names in the class's ``__slots__``."""
+    if (any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
+            or any(ast.unparse(b).endswith("NamedTuple") for b in node.bases)):
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                for t in item.targets):
+            return list(ast.literal_eval(item.value))
+    return []
+
+
+def record_fields(root: Path) -> dict:
+    """(module, class) -> its fields, for each public dataclass, NamedTuple
+    and class with ``__slots__`` of ``root``'s package, oracles aside."""
+    found = {}
+    for path in sorted((root / "src" / "stonelab").glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name[0] != "_" and (fields := _fields(node)):
+                found[path.stem, node.name] = fields
+    return found
 
 
 def unread_fields(root: Path) -> set:
-    """(module, "Class.field") for each annotated field of a public
-    dataclass or NamedTuple of ``root``'s package, oracles aside, that no
-    code in its src/ (oracles and ``__init__.py`` aside) or bench/ reads as
-    an attribute.  Like ``uncalled_names``, it matches names: a read of
-    ``x.size`` counts for every field named ``size``."""
+    """(module, "Class.field") for each field of a public record, as
+    ``record_fields`` finds them, that no code in its src/ (oracles and
+    ``__init__.py`` aside) or bench/ reads as an attribute.  Like
+    ``uncalled_names``, it matches names: a read of ``x.size`` counts for
+    every field named ``size``, hence ``SHARED_FIELDS``."""
     src = root / "src" / "stonelab"
     read = {name for name, _, _, kind, _ in _uses(
         [p for p in sorted(src.glob("*.py")) if p.name not in ("oracles.py", "__init__.py")]
         + sorted((root / "bench").glob("*.py"))) if kind == "attr"}
-    found = set()
-    for path in sorted(src.glob("*.py")):
-        if path.name == "oracles.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name[0] != "_" and _is_record(node):
-                found |= {(path.stem, f"{node.name}.{item.target.id}") for item in node.body
-                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                          and item.target.id not in read}
-    return found
+    return {(module, f"{cls}.{field}") for (module, cls), fields in record_fields(root).items()
+            for field in fields if field not in read}
 
 
 def test_every_field_is_read():
     """A field of a result that only tests read is deleted, or listed with
     its reason."""
     assert unread_fields(ROOT) == UNREAD
+
+
+# Field names that two or more public records share, with the records
+# that share each and the reads that keep every one of those fields.  The
+# field guard matches names, so it cannot tell these fields apart; a new
+# collision fails below until its fields are checked by hand and listed.
+SHARED_FIELDS = {
+    # freeseq._check_terms and generated_subalgebra; freealg's operations
+    "algebra": {"Element", "FreeElement"},
+    # read everywhere; SubalgebraPartition.is_full
+    "atom_count": {"FiniteBooleanAlgebra", "SubalgebraPartition"},
+    # freeseq and generated_subalgebra; read everywhere
+    "bits": {"Element", "Member"},
+    # read everywhere; min_max_order; cli.cmd_solve
+    "family": {"PointedSystem", "DecisionResult", "SolveResult"},
+    # min_max_order and bench/tracer.py; cli.cmd_solve
+    "nodes_explored": {"DecisionResult", "SolveResult"},
+    # PointedSystem.points; the solver and cli.cmd_solve
+    "points": {"SeparatingFamily", "GeneratorPool"},
+    # each record's width, read everywhere
+    "size": {"PointSet", "FinitePoset", "MeetSemilattice", "FiniteForest"},
+    # final_segments and the poset kernels; filters
+    "up": {"FinitePoset", "MeetSemilattice"},
+}
+
+
+def shared_fields(root: Path) -> dict:
+    """Field name -> the public records that have it, for each name that
+    two or more records share."""
+    owners: dict = {}
+    for (_, cls), fields in record_fields(root).items():
+        for field in fields:
+            owners.setdefault(field, set()).add(cls)
+    return {field: classes for field, classes in owners.items() if len(classes) > 1}
+
+
+def test_shared_field_names_are_reviewed():
+    assert shared_fields(ROOT) == SHARED_FIELDS

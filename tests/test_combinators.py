@@ -6,7 +6,6 @@ import pytest
 
 from stonelab import (
     LintWarning,
-    PorcupineSpec,
     ValidationError,
     alexandrov_duplication,
     porcupine,
@@ -164,7 +163,7 @@ class TestPorcupine:
         # index family = the one singleton member; fiber splits around s(x)
         X = singleton_system(1)
         fiber = system_from_sets(3, [{0}, {1}, {2}])
-        res = porcupine(PorcupineSpec(X, (fiber,), (0,)))
+        res = porcupine(X, (fiber,), (0,))
         labels = [m.label for m in res.system.family.members]
         # fiber members missing s(x) survive as V0; the full-space member
         # and the around-section members come from W
@@ -176,7 +175,7 @@ class TestPorcupine:
     def test_two_point_example(self):
         X = singleton_system(2)
         fibers = (singleton_system(2), singleton_system(2))
-        res = porcupine(PorcupineSpec(X, fibers, (0, 0)))
+        res = porcupine(X, fibers, (0, 0))
         assert is_t0_separating(res.system.family).separating
         assert order_profile(res.system.family).max_order <= 4
 
@@ -184,7 +183,7 @@ class TestPorcupine:
         # every fiber is one point (its own section image)
         X = singleton_system(3)
         fibers = tuple(system_from_sets(1, [{0}]) for _ in range(3))
-        res = porcupine(PorcupineSpec(X, fibers, (0, 0, 0)))
+        res = porcupine(X, fibers, (0, 0, 0))
         prof = order_profile(res.system.family)
         for d in res.decomposition:
             assert d.v_star == order_profile(X.family).per_point[d.point]
@@ -197,7 +196,7 @@ class TestPorcupine:
             X = random_t0_system(rng, max_points=nx)
             fibers = tuple(random_t0_system(rng, max_points=3) for _ in range(X.points.size))
             section = tuple(rng.randrange(f.points.size) for f in fibers)
-            res = porcupine(PorcupineSpec(X, fibers, section))
+            res = porcupine(X, fibers, section)
             prof = order_profile(res.system.family)
             for d in res.decomposition:
                 assert d.total == prof.per_point[d.point]
@@ -233,7 +232,7 @@ class TestPorcupine:
     def test_decomposition_recounts_from_labels(self, index, fibers, section):
         X = system_from_sets(len(fibers), index)
         fibers = tuple(system_from_sets(n, sets) for n, sets in fibers)
-        res = porcupine(PorcupineSpec(X, fibers, section))
+        res = porcupine(X, fibers, section)
         parts = self.recount(res, fibers)
         assert [d.point for d in res.decomposition] == list(range(res.system.points.size))
         for d in res.decomposition:
@@ -246,7 +245,7 @@ class TestPorcupine:
             fibers = tuple(random_t0_system(rng, max_points=6, max_members=6)
                            for _ in range(X.points.size))
             section = tuple(rng.randrange(f.points.size) for f in fibers)
-            res = porcupine(PorcupineSpec(X, fibers, section))
+            res = porcupine(X, fibers, section)
             parts = self.recount(res, fibers)
             prof = order_profile(res.system.family)
             for d in res.decomposition:
@@ -264,7 +263,7 @@ class TestPorcupine:
                 random_t0_system(rng, max_points=3) for _ in range(X.points.size)
             )
             section = tuple(rng.randrange(f.points.size) for f in fibers)
-            res = porcupine(PorcupineSpec(X, fibers, section))
+            res = porcupine(X, fibers, section)
             members = res.system.family.members
             offsets = []
             total = 0
@@ -289,16 +288,19 @@ class TestPorcupine:
 
     def test_mismatch_errors(self):
         X = singleton_system(2)
-        with pytest.raises(ValidationError):
-            PorcupineSpec(X, (singleton_system(2),), (0, 0))
-        with pytest.raises(ValidationError):
-            PorcupineSpec(X, (singleton_system(2), singleton_system(2)), (0, 5))
+        two = (singleton_system(2), singleton_system(2))
+        with pytest.raises(ValidationError, match="need exactly one fiber per index point"):
+            porcupine(X, two[:1], (0, 0))
+        with pytest.raises(ValidationError, match="section must pick one point per fiber"):
+            porcupine(X, two, (0,))
+        with pytest.raises(ValidationError, match="section point 5 out of range for fiber 1"):
+            porcupine(X, two, (0, 5))
 
     def test_uncovered_index_warns(self):
         X = system_from_sets(1, [])  # one point, empty family: T0 but no coverage
         fiber = system_from_sets(2, [{0}])
         with pytest.warns(LintWarning):
-            porcupine(PorcupineSpec(X, (fiber,), (0,)))
+            porcupine(X, (fiber,), (0,))
 
 
 @pytest.mark.parametrize("module", ["orders", "trees", "freeseq"])

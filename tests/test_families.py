@@ -237,7 +237,7 @@ class TestSetSpace:
 def small_spaces():
     """FS(P) of a 3-point poset, Fil(M) of a 3-element chain, and the path
     space of a 3-node tree."""
-    segments = final_segments(FinitePoset.from_pairs(3, [(0, 1)]))
+    segments = final_segments(FinitePoset(3, [(0, 1)]))
     fils = filters(meet_chain(3))
     forest = FiniteForest([None, 0, 0])
     return segments, fils, forest

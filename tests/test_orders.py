@@ -25,43 +25,48 @@ from stonelab.families import is_t0_separating, order_profile
 from stonelab.oracles import posets_up_to_iso, prime_filters_by_enumeration, upsets_bruteforce
 from stonelab.orders import clopen_filter_family, compact_elements_clopen
 
-from helpers import antichain, antichain_with_bottom, intersection_semilattice, meet_chain
+from helpers import (antichain, antichain_with_bottom, intersection_meet_table, meet_chain,
+                     poset_from_rows)
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 
 
 class TestPosetValidation:
-    def test_not_transitive(self):
-        with pytest.raises(ValidationError):
-            FinitePoset((0b011, 0b110, 0b100))
-
-    def test_not_antisymmetric(self):
-        with pytest.raises(ValidationError):
-            FinitePoset((0b11, 0b11))
-
-    def test_not_reflexive(self):
-        with pytest.raises(ValidationError):
-            FinitePoset((0b10, 0b10))
-
     def test_from_pairs_closure(self):
-        P = FinitePoset.from_pairs(3, [(0, 1), (1, 2)])
+        P = FinitePoset(3, [(0, 1), (1, 2)])
         assert P.up[0] >> 2 & 1
 
     def test_from_pairs_cycle_rejected(self):
         with pytest.raises(ValidationError):
-            FinitePoset.from_pairs(2, [(0, 1), (1, 0)])
-
-    def test_not_transitive_only_through_three_chain(self):
-        # the 5-chain with 1 <= 3 dropped: 1 <= 2 <= 3 is the one failing chain
-        up = [0b11111 & ~((1 << i) - 1) for i in range(5)]
-        up[1] &= ~(1 << 3)
-        with pytest.raises(ValidationError, match=r"not transitive at \(1,2\)"):
-            FinitePoset(up)
+            FinitePoset(2, [(0, 1), (1, 0)])
 
     def test_longer_cycle_rejected_in_one_line(self):
         with pytest.raises(ValidationError) as info:
-            FinitePoset.from_pairs(4, [(3, 0), (0, 1), (1, 2), (2, 0)])
+            FinitePoset(4, [(3, 0), (0, 1), (1, 2), (2, 0)])
         assert "cycle" in str(info.value) and "\n" not in str(info.value)
+
+    def test_refusals_in_order(self):
+        """A pair out of range first, then an empty poset, then a cycle."""
+        for size, pairs, text in [(0, [(0, 1)], r"pair \(0,1\) out of range"),
+                                  (2, [(0, 1), (1, 0), (0, 2)], r"pair \(0,2\) out of range"),
+                                  (0, [], "poset must be nonempty"),
+                                  (2, [(0, 1), (1, 0)], "cycle")]:
+            with pytest.raises(ValidationError, match=text):
+                FinitePoset(size, pairs)
+
+    def test_chain_rows_are_tails(self):
+        """chain(n) row i is the closed-form tail {i, ..., n-1}."""
+        for n in range(1, 65):
+            P = FinitePoset.chain(n)
+            assert P.up == tuple(((1 << n) - 1) >> i << i for i in range(n))
+            assert P.down == tuple((1 << i + 1) - 1 for i in range(n))
+
+    def test_rows_round_trip_through_their_pairs(self):
+        """Every poset of <= 4 points up to isomorphism, built from the
+        pairs its rows list, gives back those rows."""
+        for n in range(1, 5):
+            for up in posets_up_to_iso(n):
+                assert poset_from_rows(up).up == tuple(up)
 
 
 class TestFinalSegments:
@@ -82,7 +87,7 @@ class TestFinalSegments:
     def test_matches_bruteforce_all_small_posets(self):
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                P = FinitePoset(up)
+                P = poset_from_rows(up)
                 L = final_segments(P)
                 assert set(L.sets) == upsets_bruteforce(n, P.up)
 
@@ -94,7 +99,7 @@ class TestFinalSegments:
                 (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))
             ]
             try:
-                P = FinitePoset.from_pairs(n, pairs)
+                P = FinitePoset(n, pairs)
             except ValidationError:
                 continue  # random pairs may create cycles
             L = final_segments(P)
@@ -103,7 +108,7 @@ class TestFinalSegments:
     def test_closed_under_union_intersection(self):
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                L = final_segments(FinitePoset(up))
+                L = final_segments(poset_from_rows(up))
                 segs = set(L.sets)
                 for a in segs:
                     for b in segs:
@@ -139,7 +144,7 @@ class TestPosetSystem:
         # the generated subalgebra over the FS points is the full powerset
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                L = final_segments(FinitePoset(up))
+                L = final_segments(poset_from_rows(up))
                 B = FiniteBooleanAlgebra(L.size)
                 gens = [B.element(L.generators[p]) for p in range(n)]
                 assert generated_subalgebra(B, gens).is_full()
@@ -150,7 +155,7 @@ class TestPosetSystem:
         assert generator_orientation(L) == "preserving"
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                L = final_segments(FinitePoset(up))
+                L = final_segments(poset_from_rows(up))
                 assert generator_orientation(L) in ("preserving", "degenerate")
 
 
@@ -167,7 +172,7 @@ class TestPrimeFilters:
     def test_minima_are_principal_segments(self):
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                P = FinitePoset(up)
+                P = poset_from_rows(up)
                 L = final_segments(P)
                 minima = [(f & -f).bit_length() - 1 for f in prime_clopen_filters(L)]
                 assert [L.sets[a] for a in minima] == list(P.up)
@@ -177,7 +182,7 @@ class TestPrimeFilters:
         found among all up-sets of FS(P)."""
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                L = final_segments(FinitePoset(up))
+                L = final_segments(poset_from_rows(up))
                 assert prime_clopen_filters(L) == prime_filters_by_enumeration(L)
 
     def test_literal_primality_random(self):
@@ -190,7 +195,7 @@ class TestPrimeFilters:
             label = rng.sample(range(n), n)
             pairs = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.3]
-            L = final_segments(FinitePoset.from_pairs(n, pairs))
+            L = final_segments(FinitePoset(n, pairs))
             segs = L.sets
             index = {seg: i for i, seg in enumerate(segs)}
             expected = []
@@ -217,7 +222,7 @@ class TestDiscreteWitness:
         # cross-check in FS(P): the slab contains min(a_q) only for q = p
         for n in range(1, 5):
             for up in posets_up_to_iso(n):
-                P = FinitePoset(up)
+                P = poset_from_rows(up)
                 L = final_segments(P)
                 for p in range(n):
                     tau = discrete_witness(P, p)
@@ -250,14 +255,14 @@ def small_and_random_posets():
     ones of <= 8 points, each with the pairs it was built from (or None)."""
     for n in range(1, 5):
         for up in posets_up_to_iso(n):
-            yield FinitePoset(up), None
+            yield poset_from_rows(up), None
     rng = random.Random(59)
     for _ in range(200):
         n = rng.randint(1, 8)
         label = rng.sample(range(n), n)
         pairs = [(label[i], label[j]) for i in range(n) for j in range(n)
                  if i <= j and rng.random() < 0.3]
-        yield FinitePoset.from_pairs(n, pairs), pairs
+        yield FinitePoset(n, pairs), pairs
 
 
 class TestPosetKernels:
@@ -345,11 +350,12 @@ class TestMeetSemilattice:
         up-set, found by scanning all subsets."""
         rng = random.Random(71)
         for _ in range(100):
-            M = intersection_semilattice(rng, 6)
+            table = intersection_meet_table(rng, 6)
+            M = MeetSemilattice(table)
             n = M.size
             meet_closed = {
                 u for u in upsets_bruteforce(n, M.up)
-                if all(u >> M.table[i][j] & 1
+                if all(u >> table[i][j] & 1
                        for i in range(n) for j in range(n) if u >> i & 1 and u >> j & 1)
             }
             assert set(filters(M).sets) == {0} | meet_closed
@@ -394,8 +400,6 @@ class TestModest:
         assert len(rep.compact_elements) == 3
         assert rep.witness_point == L.size - 1  # top
         assert rep.witness_compact_below == 3
-        assert rep.is_modest
-        assert rep.sup_definition_agrees
 
     def test_two_chain(self):
         L = filters(meet_chain(1))  # {empty, {0}}
@@ -431,7 +435,7 @@ class TestModest:
         assert meets
         rng = random.Random(73)
         for M in [*map(MeetSemilattice, meets),
-                  *(intersection_semilattice(rng, 8) for _ in range(100))]:
+                  *(MeetSemilattice(intersection_meet_table(rng, 8)) for _ in range(100))]:
             L = filters(M)
             rep = modest_analysis(L)
             order = order_profile(clopen_filter_family(L)).per_point[rep.witness_point]
